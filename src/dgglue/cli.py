@@ -79,6 +79,9 @@ def main(argv=None) -> int:
 
     t_start = time.monotonic()
     try:
+        if args.parallel < 1:
+            raise InputError(f"--parallel must be at least 1, "
+                             f"not {args.parallel}")
         raw = _read_input(args.infile)
         default_field = _field_flag(args.field)
         doc = dio.parse_document(raw, default_field=default_field)
@@ -108,8 +111,11 @@ def main(argv=None) -> int:
 def _read_input(path):
     if path is None:
         return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read --in {path!r}: {exc}") from exc
 
 
 def _field_flag(flag):

@@ -622,12 +622,13 @@ def h0_category(cat: DgCategory) -> H0Category:
             projs[(a, b)] = p
             cycles[(a, b)] = z
     hom_dims = {pair: reps[pair].ncols for pair in reps}
+    rep_cols = {pair: reps[pair].columns() for pair in reps}
 
     def to_h0(pair, vec):
         coords = cycles[pair].solve(Matrix.column(field, vec))
         if coords is None:
             raise DgError("element is not a cocycle")
-        return tuple(x for row in (projs[pair] @ coords).to_lists() for x in row)
+        return (projs[pair] @ coords).columns()[0]
 
     comp = {}
     for a in cat.objects:
@@ -637,15 +638,9 @@ def h0_category(cat: DgCategory) -> H0Category:
                 nac = hom_dims[(a, c)]
                 m = Matrix.zeros(field, nac, nbc * nab)
                 for gi in range(nbc):
-                    g = HomElt(b, c, 0, tuple(x for row in
-                                              (reps[(b, c)].submatrix((0, reps[(b, c)].nrows),
-                                                                      (gi, gi + 1))).to_lists()
-                                              for x in row))
+                    g = HomElt(b, c, 0, rep_cols[(b, c)][gi])
                     for fi in range(nab):
-                        f = HomElt(a, b, 0, tuple(x for row in
-                                                  (reps[(a, b)].submatrix((0, reps[(a, b)].nrows),
-                                                                          (fi, fi + 1))).to_lists()
-                                                  for x in row))
+                        f = HomElt(a, b, 0, rep_cols[(a, b)][fi])
                         gf = cat.compose(g, f)
                         for r, v in enumerate(to_h0((a, c), gf.vec)):
                             if not field.is_zero(v):

@@ -8,6 +8,7 @@ instances, prime-field scalars are plain ints reduced to [0, p).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class FieldError(ValueError):
@@ -27,10 +28,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# Documents repeat a few rational strings ("0", "1", "-1", ...) many times,
+# and Fraction(str) runs a regex; Fractions are immutable, so sharing is safe.
+_fraction = lru_cache(maxsize=1024)(Fraction)
+
+
 class Rationals:
     """The field of rational numbers with arbitrary-precision integers."""
 
     name = "Q"
+    modulus = None      # p over F_p; selects inline arithmetic in linalg/io
 
     def __call__(self, x):
         if isinstance(x, Fraction):
@@ -68,10 +75,11 @@ class Rationals:
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
     def parse(self, s):
-        if isinstance(s, str):
-            return Fraction(s)
-        if isinstance(s, int):
-            return Fraction(s)
+        if isinstance(s, (int, str)):
+            try:
+                return _fraction(s)
+            except (ValueError, ZeroDivisionError):
+                pass
         raise FieldError(f"bad rational scalar {s!r}")
 
     def __eq__(self, other):
@@ -90,7 +98,7 @@ class PrimeField:
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
-        self.p = p
+        self.p = self.modulus = p
         self.name = f"F{p}"
         self.zero = 0
         self.one = 1 % p
@@ -129,7 +137,10 @@ class PrimeField:
 
     def parse(self, s):
         if isinstance(s, (int, str)):
-            return int(s) % self.p
+            try:
+                return int(s) % self.p
+            except ValueError:
+                pass
         raise FieldError(f"bad F_{self.p} scalar {s!r}")
 
     def __eq__(self, other):

@@ -1179,20 +1179,9 @@ def power_ideal(alg: FilteredAlgebra, gens: Matrix, d: int) -> Matrix:
 def _span(field, dim, vectors) -> Matrix:
     if not vectors:
         return Matrix.zeros(field, dim, 0)
-    m = Matrix.zeros(field, dim, len(vectors))
-    for j, v in enumerate(vectors):
-        for i, x in enumerate(v):
-            if not field.is_zero(x):
-                m.set(i, j, x)
-    piv = m.column_space_pivots()
-    cols = m.columns()
-    keep = [cols[j] for j in piv]
-    out = Matrix.zeros(field, dim, len(keep))
-    for j, v in enumerate(keep):
-        for i, x in enumerate(v):
-            if not field.is_zero(x):
-                out.set(i, j, x)
-    return out
+    vecs = Matrix.from_rows(field, vectors)     # row j is vectors[j]
+    piv = vecs.transpose().column_space_pivots()
+    return Matrix(field, len(piv), dim, [vecs.rows[j] for j in piv]).transpose()
 
 
 def is_ideal(alg: FilteredAlgebra, gens: Matrix) -> bool:

@@ -36,8 +36,22 @@ def matrix_out(field, m: Matrix):
 
 
 def matrix_in(field, rows, shape=None) -> Matrix:
-    m = Matrix.from_rows(field, [[scalar_in(field, v) for v in row]
-                                 for row in rows])
+    """Build a matrix from JSON rows in one pass, storing nonzeros only.
+
+    Exact ints are reduced inline over F_p; every other scalar goes through
+    `field.parse`, whose values (canonical ints, Fractions) are false exactly
+    when zero.
+    """
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise DocumentError("a matrix must be a list of rows, each a list")
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise DocumentError("ragged rows")
+    p, parse = field.modulus, field.parse
+    m = Matrix(field, len(rows), ncols, [
+        {j: x for j, v in enumerate(row)
+         if (x := v % p if p and type(v) is int else parse(v))}
+        for row in rows])
     if shape is not None and m.shape != shape and m.nrows * m.ncols == 0:
         m = Matrix.zeros(field, *shape)
     if shape is not None and m.shape != shape:

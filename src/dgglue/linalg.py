@@ -1,17 +1,23 @@
-"""Exact dense/sparse matrices and Gaussian elimination over a configured field.
+"""Exact sparse matrices and Gaussian elimination over a configured field.
 
-Matrices below `DENSE_LIMIT` entries are stored as row lists, larger ones as
-coordinate dicts (hom complexes of glued categories blow up combinatorially
-while staying very sparse).  All elimination uses the first-pivot rule: scan
-columns left to right, take the topmost unused row with a nonzero entry.  This
-makes every echelon form, kernel basis and solve reproducible bit for bit.
+A matrix is a list of row dicts `{column: nonzero scalar}`; a zero is never
+stored.  Hom complexes of glued categories blow up combinatorially while
+staying very sparse, and small matrices lose little to the dict form.
+
+Elimination is Gauss-Jordan on copies of the row dicts.  A column index
+(column -> rows that hold it) finds the rows to touch without scanning every
+row, and the arithmetic is inlined per field: `% p` on ints over F_p,
+`Fraction` operators over Q.  Any row holding the current column may serve as
+its pivot (the sparsest one is taken, to limit fill-in): the reduced row
+echelon form of a matrix is unique, so its pivot columns and rows, and with
+them every rank, kernel basis, solve and report, do not depend on that choice.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import accumulate
 from typing import Iterable
-
-DENSE_LIMIT = 4096
 
 
 class LinAlgError(ValueError):
@@ -21,36 +27,28 @@ class LinAlgError(ValueError):
 class Matrix:
     """An exact nrows x ncols matrix over `field`.
 
-    Internal storage is either `rows` (list of lists) or `entries`
-    (dict (i, j) -> nonzero scalar); exactly one of the two is set.
+    `rows[i]` is a dict column -> nonzero scalar of row i.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "entries")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field, nrows, ncols, rows=None, entries=None):
+    def __init__(self, field, nrows, ncols, rows=None):
         if nrows < 0 or ncols < 0:
             raise LinAlgError("negative matrix dimension")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
-        self.entries = entries
+        self.rows = [{} for _ in range(nrows)] if rows is None else rows
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def zeros(field, nrows, ncols) -> "Matrix":
-        if nrows * ncols > DENSE_LIMIT:
-            return Matrix(field, nrows, ncols, entries={})
-        return Matrix(field, nrows, ncols,
-                      rows=[[field.zero] * ncols for _ in range(nrows)])
+        return Matrix(field, nrows, ncols)
 
     @staticmethod
     def identity(field, n) -> "Matrix":
-        m = Matrix.zeros(field, n, n)
-        for i in range(n):
-            m.set(i, i, field.one)
-        return m
+        return Matrix(field, n, n, [{i: field.one} for i in range(n)])
 
     @staticmethod
     def from_rows(field, rows: Iterable[Iterable]) -> "Matrix":
@@ -60,47 +58,37 @@ class Matrix:
         for row in rows:
             if len(row) != ncols:
                 raise LinAlgError("ragged rows")
-        m = Matrix.zeros(field, nrows, ncols)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if not field.is_zero(x):
-                    m.set(i, j, x)
-        return m
+        is_zero = field.is_zero
+        return Matrix(field, nrows, ncols,
+                      [{j: x for j, x in enumerate(row) if not is_zero(x)}
+                       for row in rows])
 
     @staticmethod
     def from_entries(field, nrows, ncols, items) -> "Matrix":
-        m = Matrix.zeros(field, nrows, ncols)
+        m = Matrix(field, nrows, ncols)
         for (i, j), v in items:
             if not field.is_zero(v):
-                m.set(i, j, m.field.add(m.get(i, j), v))
+                m.add_at(i, j, v)
         return m
 
     @staticmethod
     def column(field, vec) -> "Matrix":
-        vec = list(vec)
-        m = Matrix.zeros(field, len(vec), 1)
-        for i, x in enumerate(vec):
-            fx = field(x)
-            if not field.is_zero(fx):
-                m.set(i, 0, fx)
-        return m
+        vec = [field(x) for x in vec]
+        return Matrix(field, len(vec), 1,
+                      [{} if field.is_zero(x) else {0: x} for x in vec])
 
     # -- element access ------------------------------------------------
 
     def get(self, i, j):
-        if self.rows is not None:
-            return self.rows[i][j]
-        return self.entries.get((i, j), self.field.zero)
+        return self.rows[i].get(j, self.field.zero)
 
     def set(self, i, j, v):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise LinAlgError(f"index ({i},{j}) out of range for {self.shape}")
-        if self.rows is not None:
-            self.rows[i][j] = v
-        elif self.field.is_zero(v):
-            self.entries.pop((i, j), None)
+        if self.field.is_zero(v):
+            self.rows[i].pop(j, None)
         else:
-            self.entries[(i, j)] = v
+            self.rows[i][j] = v
 
     def add_at(self, i, j, v):
         self.set(i, j, self.field.add(self.get(i, j), v))
@@ -111,37 +99,23 @@ class Matrix:
 
     def items(self):
         """Iterate nonzero entries as ((i, j), value), in row-major order."""
-        f = self.field
-        if self.rows is not None:
-            for i, row in enumerate(self.rows):
-                for j, v in enumerate(row):
-                    if not f.is_zero(v):
-                        yield (i, j), v
-        else:
-            for key in sorted(self.entries):
-                yield key, self.entries[key]
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.items():
-            rows[i][j] = v
-        return rows
+        for i, row in enumerate(self.rows):
+            for j in sorted(row):
+                yield (i, j), row[j]
 
     def to_lists(self):
-        out = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.items():
-            out[i][j] = v
-        return out
+        zero = self.field.zero
+        return [[row.get(j, zero) for j in range(self.ncols)]
+                for row in self.rows]
 
     def is_zero(self) -> bool:
-        return next(iter(self.items()), None) is None
+        return not any(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.shape != other.shape or self.field != other.field:
-            return False
-        return dict(self.items()) == dict(other.items())
+        return (self.shape == other.shape and self.field == other.field
+                and self.rows == other.rows)
 
     def __hash__(self):
         raise TypeError("matrices are not hashable")
@@ -153,11 +127,11 @@ class Matrix:
 
     def __add__(self, other) -> "Matrix":
         self._check_same_shape(other)
-        out = Matrix.zeros(self.field, self.nrows, self.ncols)
-        for key, v in self.items():
-            out.set(*key, v)
-        for key, v in other.items():
-            out.add_at(*key, v)
+        out = Matrix(self.field, self.nrows, self.ncols,
+                     [dict(row) for row in self.rows])
+        for i, row in enumerate(other.rows):
+            for j, v in row.items():
+                out.add_at(i, j, v)
         return out
 
     def __sub__(self, other) -> "Matrix":
@@ -167,29 +141,37 @@ class Matrix:
         return self.scaled(self.field.neg(self.field.one))
 
     def scaled(self, c) -> "Matrix":
-        out = Matrix.zeros(self.field, self.nrows, self.ncols)
-        if self.field.is_zero(c):
-            return out
-        for (i, j), v in self.items():
-            out.set(i, j, self.field.mul(c, v))
-        return out
+        f = self.field
+        if f.is_zero(c):
+            return Matrix(f, self.nrows, self.ncols)
+        mul = f.mul
+        return Matrix(f, self.nrows, self.ncols,
+                      [{j: mul(c, v) for j, v in row.items()}
+                       for row in self.rows])
 
     def __matmul__(self, other) -> "Matrix":
         if self.ncols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
-        f = self.field
-        out = Matrix.zeros(f, self.nrows, other.ncols)
-        other_rows = other.row_dicts()
-        for (i, k), a in self.items():
-            row = other_rows[k]
-            for j, b in row.items():
-                out.add_at(i, j, f.mul(a, b))
-        return out
+        p = self.field.modulus
+        other_rows = other.rows
+        out = []
+        for arow in self.rows:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in other_rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if p is None:
+                out.append({j: v for j, v in acc.items() if v})
+            else:
+                out.append({j: w for j, v in acc.items() if (w := v % p)})
+        return Matrix(self.field, self.nrows, other.ncols, out)
 
     def transpose(self) -> "Matrix":
-        out = Matrix.zeros(self.field, self.ncols, self.nrows)
-        for (i, j), v in self.items():
-            out.set(j, i, v)
+        out = Matrix(self.field, self.ncols, self.nrows)
+        cols = out.rows
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
         return out
 
     def apply(self, vec):
@@ -198,9 +180,10 @@ class Matrix:
             raise LinAlgError("vector length mismatch")
         f = self.field
         out = [f.zero] * self.nrows
-        for (i, j), a in self.items():
-            if not f.is_zero(vec[j]):
-                out[i] = f.add(out[i], f.mul(a, vec[j]))
+        for i, row in enumerate(self.rows):
+            for j, a in row.items():
+                if not f.is_zero(vec[j]):
+                    out[i] = f.add(out[i], f.mul(a, vec[j]))
         return tuple(out)
 
     # -- block assembly --------------------------------------------------
@@ -208,62 +191,66 @@ class Matrix:
     @staticmethod
     def hstack(mats) -> "Matrix":
         mats = list(mats)
-        field = mats[0].field
         nrows = mats[0].nrows
-        out = Matrix.zeros(field, nrows, sum(m.ncols for m in mats))
+        out = Matrix(mats[0].field, nrows, sum(m.ncols for m in mats))
         off = 0
         for m in mats:
             if m.nrows != nrows:
                 raise LinAlgError("hstack row mismatch")
-            for (i, j), v in m.items():
-                out.set(i, j + off, v)
+            for dst, row in zip(out.rows, m.rows):
+                for j, v in row.items():
+                    dst[j + off] = v
             off += m.ncols
         return out
 
     @staticmethod
     def vstack(mats) -> "Matrix":
         mats = list(mats)
-        field = mats[0].field
         ncols = mats[0].ncols
-        out = Matrix.zeros(field, sum(m.nrows for m in mats), ncols)
-        off = 0
+        rows = []
         for m in mats:
             if m.ncols != ncols:
                 raise LinAlgError("vstack col mismatch")
-            for (i, j), v in m.items():
-                out.set(i + off, j, v)
-            off += m.nrows
-        return out
+            rows.extend(dict(row) for row in m.rows)
+        return Matrix(mats[0].field, len(rows), ncols, rows)
 
     @staticmethod
     def block(field, row_dims, col_dims, blocks) -> "Matrix":
-        """Assemble from `blocks`: dict (bi, bj) -> Matrix of the given block shape."""
-        row_off = _offsets(row_dims)
-        col_off = _offsets(col_dims)
-        out = Matrix.zeros(field, sum(row_dims), sum(col_dims))
+        """Assemble from `blocks`: dict (bi, bj) -> Matrix of the given block shape.
+
+        Blocks that overlap are summed.
+        """
+        row_off = [0, *accumulate(row_dims)]
+        col_off = [0, *accumulate(col_dims)]
+        out = Matrix(field, sum(row_dims), sum(col_dims))
         for (bi, bj), m in blocks.items():
             if m.shape != (row_dims[bi], col_dims[bj]):
                 raise LinAlgError(
                     f"block ({bi},{bj}) has shape {m.shape}, expected "
                     f"({row_dims[bi]},{col_dims[bj]})")
-            for (i, j), v in m.items():
-                out.add_at(row_off[bi] + i, col_off[bj] + j, v)
+            r0, c0 = row_off[bi], col_off[bj]
+            for i, row in enumerate(m.rows):
+                dst = out.rows[r0 + i]
+                for j, v in row.items():
+                    if j + c0 in dst:
+                        out.add_at(r0 + i, j + c0, v)
+                    else:
+                        dst[j + c0] = v
         return out
 
     def submatrix(self, row_range, col_range) -> "Matrix":
         r0, r1 = row_range
         c0, c1 = col_range
-        out = Matrix.zeros(self.field, r1 - r0, c1 - c0)
-        for (i, j), v in self.items():
-            if r0 <= i < r1 and c0 <= j < c1:
-                out.set(i - r0, j - c0, v)
-        return out
+        return Matrix(self.field, r1 - r0, c1 - c0,
+                      [{j - c0: v for j, v in row.items() if c0 <= j < c1}
+                       for row in self.rows[r0:r1]])
 
     def columns(self):
         """Columns as coordinate tuples."""
         cols = [[self.field.zero] * self.nrows for _ in range(self.ncols)]
-        for (i, j), v in self.items():
-            cols[j][i] = v
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
         return [tuple(c) for c in cols]
 
     def _check_same_shape(self, other):
@@ -272,86 +259,113 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _echelon(self):
-        """Row echelon form on row dicts.  Returns (rows, pivot_cols)."""
-        f = self.field
-        rows = self.row_dicts()
+    def _echelon(self, reduced=True):
+        """Gauss-Jordan elimination.  Returns (rows, pivot_cols).
+
+        rows[i] is the row dict whose leading 1 sits in column pivot_cols[i].
+        With reduced=True the rows are those of the reduced row echelon form.
+        With reduced=False rows above a pivot are left alone: the pivot
+        columns (hence the rank) are the same, the rows are not reduced.
+        """
+        p = self.field.modulus
+        rows = [dict(row) for row in self.rows if row]
+        holders = defaultdict(set)      # column -> rows that have held it
+        for r, row in enumerate(rows):
+            for j in row:
+                holders[j].add(r)
+        used = [False] * len(rows)
         pivots = []
-        rank = 0
-        for col in range(self.ncols):
-            pivot_row = None
-            for i in range(rank, len(rows)):
-                if col in rows[i]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
+        order = []
+        # Fill-in only lands in columns of a pivot row, which are already
+        # keys of `holders`; so this snapshot of the keys sees every column.
+        for col in sorted(holders):
+            live = [r for r in holders[col] if col in rows[r]]
+            free = [r for r in live if not used[r]]
+            if not free:
                 continue
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            inv = f.inv(rows[rank][col])
-            rows[rank] = {j: f.mul(inv, v) for j, v in rows[rank].items()}
-            for i in range(len(rows)):
-                if i != rank and col in rows[i]:
-                    c = rows[i][col]
-                    new_row = dict(rows[i])
-                    for j, v in rows[rank].items():
-                        w = f.sub(new_row.get(j, f.zero), f.mul(c, v))
-                        if f.is_zero(w):
-                            new_row.pop(j, None)
+            piv = min(free, key=lambda r: (len(rows[r]), r))
+            prow = rows[piv]
+            a = prow[col]
+            if a != 1:
+                if p is None:
+                    inv = 1 / a
+                    prow = {j: inv * v for j, v in prow.items()}
+                else:
+                    inv = pow(a, -1, p)
+                    prow = {j: inv * v % p for j, v in prow.items()}
+                rows[piv] = prow
+            used[piv] = True
+            for r in live:
+                if r == piv or (used[r] and not reduced):
+                    continue
+                row = rows[r]
+                c = row[col]
+                if p is None:
+                    for j, v in prow.items():
+                        if j in row:
+                            w = row[j] - c * v
+                            if w:
+                                row[j] = w
+                            else:
+                                del row[j]
                         else:
-                            new_row[j] = w
-                    rows[i] = new_row
+                            row[j] = -c * v
+                            holders[j].add(r)
+                else:
+                    c = p - c
+                    for j, v in prow.items():
+                        if j in row:
+                            w = (row[j] + c * v) % p
+                            if w:
+                                row[j] = w
+                            else:
+                                del row[j]
+                        else:
+                            row[j] = c * v % p
+                            holders[j].add(r)
             pivots.append(col)
-            rank += 1
-            if rank == len(rows):
+            order.append(piv)
+            if len(pivots) == len(rows):
                 break
-        return rows, pivots
+        return [rows[r] for r in order], pivots
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
-
-    def rref(self) -> "Matrix":
-        rows, _ = self._echelon()
-        out = Matrix.zeros(self.field, self.nrows, self.ncols)
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                out.set(i, j, v)
-        return out
+        return len(self._echelon(reduced=False)[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns span ker(self); column count = ncols - rank."""
         f = self.field
         rows, pivots = self._echelon()
         pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        out = Matrix.zeros(f, self.ncols, len(free))
-        for k, j_free in enumerate(free):
-            out.set(j_free, k, f.one)
-            for i, j_piv in enumerate(pivots):
-                v = rows[i].get(j_free, f.zero)
-                if not f.is_zero(v):
-                    out.set(j_piv, k, f.neg(v))
+        free = {j: k for k, j in enumerate(
+            j for j in range(self.ncols) if j not in pivot_set)}
+        out = Matrix(f, self.ncols, len(free))
+        for j, k in free.items():
+            out.rows[j][k] = f.one
+        for row, j_piv in zip(rows, pivots):
+            dst = out.rows[j_piv]
+            for j, v in row.items():
+                k = free.get(j)
+                if k is not None:
+                    dst[k] = f.neg(v)
         return out
 
     def solve(self, rhs: "Matrix"):
         """One solution of self @ X = rhs, or None if inconsistent."""
         if rhs.nrows != self.nrows:
             raise LinAlgError("solve: row mismatch")
-        f = self.field
-        aug = Matrix.hstack([self, rhs])
-        rows, pivots = aug._echelon()
-        for i, pc in enumerate(pivots):
-            if pc >= self.ncols:
-                return None
-        out = Matrix.zeros(f, self.ncols, rhs.ncols)
-        for i, pc in enumerate(pivots):
-            for j, v in rows[i].items():
-                if j >= self.ncols:
-                    out.set(pc, j - self.ncols, v)
+        n = self.ncols
+        rows, pivots = Matrix.hstack([self, rhs])._echelon()
+        if pivots and pivots[-1] >= n:
+            return None
+        out = Matrix(self.field, n, rhs.ncols)
+        for row, pc in zip(rows, pivots):
+            out.rows[pc] = {j - n: v for j, v in row.items() if j >= n}
         return out
 
     def column_space_pivots(self):
         """Indices of the first-pivot column basis of the column space."""
-        return self._echelon()[1]
+        return self._echelon(reduced=False)[1]
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -365,33 +379,15 @@ class Matrix:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
 
-def _offsets(dims):
-    out = []
-    acc = 0
-    for d in dims:
-        out.append(acc)
-        acc += d
-    return out
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank over the matrix's field."""
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns spanning ker(m); column count = ncols - rank."""
-    return m.kernel_basis()
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i, j) of a x (k, l) of b -> (i*b.nrows + k, ...)."""
-    f = a.field
-    out = Matrix.zeros(f, a.nrows * b.nrows, a.ncols * b.ncols)
-    for (i, j), u in a.items():
-        for (k, l), v in b.items():
-            out.set(i * b.nrows + k, j * b.ncols + l, f.mul(u, v))
-    return out
+    mul = a.field.mul
+    rows = []
+    for arow in a.rows:
+        for brow in b.rows:
+            rows.append({j * b.ncols + l: mul(u, v)
+                         for j, u in arow.items() for l, v in brow.items()})
+    return Matrix(a.field, a.nrows * b.nrows, a.ncols * b.ncols, rows)
 
 
 def quotient_maps(field, ambient_dim: int, subspace: Matrix):
@@ -406,30 +402,14 @@ def quotient_maps(field, ambient_dim: int, subspace: Matrix):
         raise LinAlgError("subspace ambient mismatch")
     ext = Matrix.hstack([subspace, Matrix.identity(field, ambient_dim)])
     pivots = ext.column_space_pivots()
-    comp_cols = [j - subspace.ncols for j in pivots if j >= subspace.ncols]
-    q = len(comp_cols)
-    lift = Matrix.zeros(field, ambient_dim, q)
-    for k, j in enumerate(comp_cols):
-        lift.set(j, k, field.one)
-    # [subspace | lift] is invertible ambient x ambient; proj reads off the
-    # lift-coordinates of a vector.
-    basis = Matrix.hstack([subspace.submatrix((0, ambient_dim), (0, subspace.ncols)), lift])
-    # strip dependent subspace columns first so that basis is square
-    piv = basis.column_space_pivots()
-    cols = basis.columns()
-    sq = Matrix.hstack([Matrix.column(field, cols[j]) for j in piv]) if piv else \
-        Matrix.zeros(field, ambient_dim, 0)
-    if sq.ncols != ambient_dim:
-        raise LinAlgError("quotient: could not complete basis")
-    inv = sq.inverse()
-    n_sub = sq.ncols - q
-    proj = inv.submatrix((n_sub, ambient_dim), (0, ambient_dim))
+    n_sub = sum(1 for j in pivots if j < subspace.ncols)
+    lift = Matrix.zeros(field, ambient_dim, ambient_dim - n_sub)
+    for k, j in enumerate(pivots[n_sub:]):
+        lift.rows[j - subspace.ncols][k] = field.one
+    # The pivot columns of ext, the independent subspace columns and then
+    # lift's, are a basis; proj reads off the lift-coordinates of a vector.
+    cols = ext.transpose().rows
+    basis = Matrix(field, ambient_dim, ambient_dim, [cols[j] for j in pivots])
+    proj = basis.transpose().inverse().submatrix((n_sub, ambient_dim),
+                                                 (0, ambient_dim))
     return proj, lift
-
-
-def intersect_kernels(mats) -> Matrix:
-    """Basis of the intersection of kernels of the given stack of matrices."""
-    mats = [m for m in mats]
-    if not mats:
-        raise LinAlgError("need at least one matrix")
-    return Matrix.vstack(mats).kernel_basis()

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dgglue import io as dio
 from dgglue.fields import QQ, PrimeField
 from dgglue.linalg import Matrix
@@ -95,6 +97,37 @@ def test_exit_code_on_malformed_input(tmp_path):
     res2 = run_cli(["cohomology", "--in", str(p2)])
     assert res2.returncode == 1
     assert "error" in json.loads(res2.stdout)
+
+
+def _assert_input_error(res):
+    assert res.returncode == 1
+    assert "error" in json.loads(res.stdout)
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("field, diff", [
+    ({"Fp": 7}, [["x"]]),       # not an integer
+    ("Q", [["1/0"]]),           # zero denominator
+    ("Q", [5]),                 # a row that is a number
+    ("Q", "ab"),                # a matrix that is a string
+], ids=["F7-word", "Q-zero-denominator", "number-row", "string-matrix"])
+def test_malformed_matrix_exits_1(tmp_path, field, diff):
+    p = tmp_path / "bad_matrix.json"
+    p.write_text(json.dumps({
+        "field": field, "params": {"complex": "c"},
+        "complexes": {"c": {"dims": {"0": 1, "1": 1}, "diff": {"0": diff}}}}))
+    _assert_input_error(run_cli(["cohomology", "--in", str(p)]))
+
+
+def test_missing_input_file_exits_1(tmp_path):
+    _assert_input_error(
+        run_cli(["cohomology", "--in", str(tmp_path / "absent.json")]))
+
+
+def test_parallel_below_one_exits_1():
+    _assert_input_error(
+        run_cli(["check-qff", "--in", str(DOCS / "refinement_square.json"),
+                 "--parallel", "0"]))
 
 
 def test_max_dim_guard(tmp_path):

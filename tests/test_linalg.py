@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_linalg as ref
 
 from dgglue.fields import QQ, PrimeField, FieldError
 from dgglue.linalg import Matrix, kron, quotient_maps
@@ -113,18 +117,63 @@ def test_quotient_maps_full_and_zero():
     assert proj.nrows == 2 and proj @ lift == Matrix.identity(QQ, 2)
 
 
-def test_sparse_dense_agree():
-    r = rng(5)
-    field = PrimeField(7)
-    assert Matrix.zeros(field, 80, 80).entries is not None  # sparse above threshold
-    small = random_matrix(field, r, 8, 8)
-    assert small.rows is not None  # dense below threshold
-    # embed in a sparse container and compare every operation
-    big = Matrix.zeros(field, 80, 80)
-    for (i, j), v in small.items():
-        big.set(i, j, v)
-    assert big.rank() == small.rank()
-    prod_sparse = big @ big
-    prod_dense = small @ small
-    assert all(prod_sparse.get(i, j) == prod_dense.get(i, j)
-               for i in range(8) for j in range(8))
+@st.composite
+def matrices(draw, field, nrows=None, max_dim=40):
+    """A matrix of any shape up to max_dim x max_dim, sparse or dense, and
+    of full or deficient rank (a product through a narrow inner dimension)."""
+    # hypothesis favours small integers; the sampled sizes keep large
+    # matrices as common as small ones
+    dims = st.integers(0, max_dim) | st.sampled_from([max_dim // 2, max_dim])
+    if nrows is None:
+        nrows = draw(dims)
+    ncols = draw(dims)
+    density = draw(st.sampled_from([0.05, 0.2, 0.6, 1.0]))
+    inner = draw(st.sampled_from([None, 0, 1, 3, 8]))
+    r = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def scalar():
+        if field == QQ:
+            return Fraction(r.randint(-4, 4), r.randint(1, 3))
+        return r.randrange(field.p)
+
+    def rand(n, m):
+        out = Matrix.zeros(field, n, m)
+        for i in range(n):
+            for j in range(m):
+                if r.random() < density:
+                    out.set(i, j, field(scalar()))
+        return out
+
+    if inner is None:
+        return rand(nrows, ncols)
+    return rand(nrows, inner) @ rand(inner, ncols)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["F7", "Q"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_reference(field, data):
+    """RREF, pivots, kernel, solve and product agree with the reference
+    kernel, on every shape from 0x0 to 40x40, sparse and dense."""
+    m = data.draw(matrices(field))
+    x = data.draw(matrices(field, nrows=m.ncols, max_dim=4))
+    y = data.draw(matrices(field, nrows=m.nrows, max_dim=4))
+    rows, pivots = m._echelon()
+    ref_rows, ref_pivots = ref.echelon(field, m.ncols, m.rows)
+    assert pivots == ref_pivots
+    assert rows == ref_rows[:len(ref_pivots)]
+    assert m.rank() == len(ref_pivots)
+    assert m.column_space_pivots() == ref_pivots
+    k = m.kernel_basis()
+    assert k.to_lists() == ref.kernel_basis(field, m.ncols, m.rows)
+    assert m.rank() + k.ncols == m.ncols
+    assert (m @ k).is_zero()
+    for rhs in (m @ x, y):  # consistent; usually not
+        sol = m.solve(rhs)
+        expect = ref.solve(field, m.rows, m.ncols, rhs.rows, rhs.ncols)
+        assert (sol is None) == (expect is None)
+        if sol is not None:
+            assert sol.to_lists() == expect
+            assert m @ sol == rhs
+    assert (m @ x).to_lists() == ref.matmul(field, m.to_lists(),
+                                             x.to_lists(), x.ncols)
