@@ -102,6 +102,10 @@ def main(argv=None) -> int:
         _emit({"command": args.command, "internal_error": str(exc)},
               args.outfile)
         return 2
+    except Exception as exc:  # any other failure is ours, not the input's
+        _emit({"command": args.command,
+               "internal_error": f"{type(exc).__name__}: {exc}"}, args.outfile)
+        return 2
     if args.timing:
         report["timing"] = {"seconds": round(time.monotonic() - t_start, 6)}
     _emit(report, args.outfile)

@@ -80,20 +80,6 @@ class Complex:
         diffs = {k - n: m.scaled(sgn) for k, m in self.diffs.items()}
         return Complex(self.field, dims, diffs, validate=False)
 
-    def direct_sum(self, other: "Complex") -> "Complex":
-        if self.field != other.field:
-            raise ComplexError("field mismatch")
-        dims = {}
-        diffs = {}
-        for k in set(self.dims) | set(other.dims):
-            dims[k] = self.dim(k) + other.dim(k)
-        for k in set(self.diffs) | set(other.diffs):
-            diffs[k] = Matrix.block(
-                self.field, [self.dim(k + 1), other.dim(k + 1)],
-                [self.dim(k), other.dim(k)],
-                {(0, 0): self.d(k), (1, 1): other.d(k)})
-        return Complex(self.field, dims, diffs, validate=False)
-
     def cohomology(self) -> dict:
         """Map degree -> dim H^k, for the degrees where it is nonzero."""
         out = {}

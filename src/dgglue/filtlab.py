@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .complexes import Complex
 from .dgcat import DgCategory, DgFunctor
-from .linalg import Matrix, quotient_maps
+from .linalg import LinAlgError, Matrix, quotient_maps
 
 
 class FiltError(ValueError):
@@ -70,21 +70,6 @@ class FilteredAlgebra:
                         out[r] = field.add(out[r], field.mul(c, w))
         return tuple(out)
 
-    def mul_matrix(self, u) -> Matrix:
-        """Left multiplication by the ambient vector u."""
-        cols = []
-        field = self.field
-        for j in range(self.dim):
-            basis = [field.zero] * self.dim
-            basis[j] = field.one
-            cols.append(self.mul_vec(u, basis))
-        m = Matrix.zeros(field, self.dim, self.dim)
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if not field.is_zero(v):
-                    m.set(i, j, v)
-        return m
-
     # -- filtration access ---------------------------------------------
 
     def fil(self, s: int) -> Matrix:
@@ -100,11 +85,34 @@ class FilteredAlgebra:
         return b.solve(Matrix.column(self.field, vec)) is not None
 
     def fil_coords(self, s: int, vec):
-        """Coordinates of an ambient vector in the F^s basis."""
-        sol = self.fil(s).solve(Matrix.column(self.field, vec))
-        if sol is None:
+        """Coordinates of an ambient vector in the F^s basis B.
+
+        As from `solve`: zero off the pivot columns P of B, unique on them.
+        Each clamped level caches B and a left inverse L of B_P (zero rows
+        off P); a call is x = L v and the membership check B x == v.
+        """
+        level = max(min(s, 0), -self.length)
+        cached = self._membership_cache.get(level)
+        if cached is None:
+            basis = self.fil(level)
+            pivots = basis.column_space_pivots()
+            cols = basis.transpose().rows
+            piv_t = Matrix(self.field, len(pivots), self.dim,
+                           [cols[j] for j in pivots])
+            # B_P^T X = I makes X^T a left inverse of B_P
+            inv = piv_t.solve(Matrix.identity(self.field, len(pivots)))
+            rows = dict(zip(pivots, inv.transpose().rows))
+            left = Matrix(self.field, basis.ncols, self.dim,
+                          [rows.get(j, {}) for j in range(basis.ncols)])
+            cached = self._membership_cache[level] = (basis, left)
+        basis, left = cached
+        if len(vec) != self.dim:
+            raise LinAlgError("solve: row mismatch")  # as `solve` refuses it
+        vec = tuple(map(self.field, vec))
+        coords = left.apply(vec)
+        if basis.apply(coords) != vec:
             raise FiltError(f"vector is not in F^{s}")
-        return tuple(x for row in sol.to_lists() for x in row)
+        return coords
 
     def quot(self, s: int, t: int) -> "FiltQuot":
         """The quotient F^s / F^t with a deterministic complement basis."""
@@ -278,9 +286,6 @@ class GradedModule:
             m = self.tau_at(cur) @ m
             cur += 1
         return m
-
-    def zero_like(self):
-        return tuple(Matrix.zeros(self.alg.field, d, d) for d in self.dims)
 
 
 def validate_module(m: GradedModule, max_report: int = 20) -> list:
@@ -496,10 +501,6 @@ def module_hom(m1: GradedModule, m2: GradedModule):
             mats.append(m)
         out.append(tuple(mats))
     return basis.ncols, out
-
-
-def apply_module_map(mats, m1: GradedModule, vec_k: int, vec):
-    return mats[vec_k].apply(vec)
 
 
 # -- projective generators and the Auslander algebra ------------------------

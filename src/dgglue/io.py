@@ -59,6 +59,21 @@ def matrix_in(field, rows, shape=None) -> Matrix:
     return m
 
 
+def _get(data, key, kind, default=None):
+    """data[key] as a JSON object or array (kind dict or list), or `default`."""
+    value = data[key] if default is None else data.get(key, default)
+    if not isinstance(value, kind):
+        raise DocumentError(f"{key!r} must be a JSON "
+                            f"{'object' if kind is dict else 'array'}")
+    return value
+
+
+def _items(data, key, kind, default=None):
+    """The (name, value) pairs of the object data[key], each value of `kind`."""
+    table = _get(data, key, dict, default)
+    return [(name, _get(table, name, kind)) for name in table]
+
+
 def subset_out(I) -> str:
     return ",".join(str(x) for x in sorted(I))
 
@@ -82,9 +97,9 @@ def complex_out(c: Complex):
 
 
 def complex_in(field, data) -> Complex:
-    dims = {int(k): int(d) for k, d in data.get("dims", {}).items()}
+    dims = {int(k): int(d) for k, d in _get(data, "dims", dict, {}).items()}
     diffs = {}
-    for k, rows in data.get("diff", {}).items():
+    for k, rows in _get(data, "diff", dict, {}).items():
         k = int(k)
         diffs[k] = matrix_in(field, rows,
                              shape=(dims.get(k + 1, 0), dims.get(k, 0)))
@@ -102,7 +117,7 @@ def graded_map_out(f: GradedMap):
 def graded_map_in(field, data, source: Complex, target: Complex) -> GradedMap:
     degree = int(data.get("degree", 0))
     comps = {}
-    for k, rows in data.get("comps", {}).items():
+    for k, rows in _get(data, "comps", dict, {}).items():
         k = int(k)
         comps[k] = matrix_in(field, rows,
                              shape=(target.dim(k + degree), source.dim(k)))
@@ -141,20 +156,20 @@ def category_out(cat: DgCategory):
 
 
 def category_in(field, data) -> DgCategory:
-    objects = list(data["objects"])
+    objects = list(_get(data, "objects", list))
     hom = {}
-    for key, cdata in data.get("hom", {}).items():
+    for key, cdata in _items(data, "hom", dict, {}):
         a, b = key.split("->")
         hom[(a, b)] = complex_in(field, cdata)
     comp = {}
-    for key, tables in data.get("comp", {}).items():
+    for key, tables in _items(data, "comp", dict, {}):
         a, b, c = key.split("|")
         comp[(a, b, c)] = {}
         for dkey, rows in tables.items():
             i, j = (int(x) for x in dkey.split(","))
             comp[(a, b, c)][(i, j)] = matrix_in(field, rows)
     ids = {a: tuple(scalar_in(field, v) for v in vec)
-           for a, vec in data["ids"].items()}
+           for a, vec in _items(data, "ids", list)}
     return DgCategory(field, objects, hom, comp, ids)
 
 
@@ -172,9 +187,9 @@ def functor_out(f: DgFunctor, src_name: str, tgt_name: str):
 
 
 def functor_in(field, data, src: DgCategory, tgt: DgCategory) -> DgFunctor:
-    obj_map = dict(data["obj_map"])
+    obj_map = dict(_get(data, "obj_map", dict))
     hom_maps = {}
-    for key, maps in data.get("hom_maps", {}).items():
+    for key, maps in _items(data, "hom_maps", dict, {}):
         a, b = key.split("->")
         hom_maps[(a, b)] = {}
         for k, rows in maps.items():
@@ -204,15 +219,15 @@ def complex_cube_out(cube: ComplexCube, names: dict):
 
 
 def complex_cube_in(field, data) -> ComplexCube:
-    top = frozenset(int(x) for x in data["top"])
+    top = frozenset(int(x) for x in _get(data, "top", list))
     if "shape" in data:
-        shape = frozenset(subset_in(s) for s in data["shape"])
+        shape = frozenset(subset_in(s) for s in _get(data, "shape", list))
     else:
         shape = full_shape(top)
     vertices = {subset_in(k): complex_in(field, v)
-                for k, v in data["vertices"].items()}
+                for k, v in _items(data, "vertices", dict)}
     edges = {}
-    for key, e in data["edges"].items():
+    for key, e in _items(data, "edges", dict):
         ikey, l = key.split("|")
         I = subset_in(ikey)
         l = int(l)
@@ -230,9 +245,10 @@ def dg_cube_out(cube: DgCube, cat_names: dict, fun_names: dict):
 
 def dg_cube_in(field, data, categories: dict, functors: dict) -> DgCube:
     n = int(data["n"])
-    vertices = {subset_in(k): categories[v] for k, v in data["vertices"].items()}
+    vertices = {subset_in(k): categories[v]
+                for k, v in _get(data, "vertices", dict).items()}
     edges = {}
-    for key, fname in data["edges"].items():
+    for key, fname in _get(data, "edges", dict).items():
         ikey, l = key.split("|")
         edges[(subset_in(ikey), int(l))] = functors[fname]
     return DgCube(field, n, vertices, edges, validate=True, deep_validate=False)
@@ -259,11 +275,11 @@ def algebra_out(alg: FilteredAlgebra):
 
 
 def algebra_in(field, data) -> FilteredAlgebra:
-    basis = list(data["basis"])
+    basis = list(_get(data, "basis", list))
     dim = len(basis)
-    unit = tuple(scalar_in(field, v) for v in data["unit"])
+    unit = tuple(scalar_in(field, v) for v in _get(data, "unit", list))
     raw = {}
-    for key, vec in data["mult"].items():
+    for key, vec in _items(data, "mult", list):
         i, j = (int(x) for x in key.split(","))
         raw[(i, j)] = tuple(scalar_in(field, v) for v in vec)
 
@@ -277,7 +293,7 @@ def algebra_in(field, data) -> FilteredAlgebra:
     length = int(data["length"])
     filtration = [Matrix.identity(field, dim)]
     for k in range(1, length + 1):
-        rows = data["filtration"].get(str(k), [])
+        rows = _get(data, "filtration", dict).get(str(k), [])
         if rows:
             filtration.append(matrix_in(field, rows))
         else:
@@ -301,13 +317,13 @@ def module_out(m: GradedModule):
 
 def module_in(field, data, alg: FilteredAlgebra) -> GradedModule:
     length = int(data.get("length", alg.length))
-    dims = [int(d) for d in data["dims"]]
+    dims = [int(d) for d in _get(data, "dims", list)]
     tau = {}
-    for k, rows in data.get("tau", {}).items():
+    for k, rows in _get(data, "tau", dict, {}).items():
         k = int(k)
         tau[k] = matrix_in(field, rows, shape=(dims[k - 1], dims[k]))
     act = {}
-    for key, mats in data.get("act", {}).items():
+    for key, mats in _items(data, "act", list, {}):
         j, k = (int(x) for x in key.split(","))
         nj = alg.fil(-j).ncols
         if len(mats) != nj:
@@ -319,36 +335,21 @@ def module_in(field, data, alg: FilteredAlgebra) -> GradedModule:
     return GradedModule(alg, length, dims, tau, act)
 
 
-def algebra_map_out(f: AlgebraMap, src_name: str, tgt_name: str):
-    return {"source": src_name, "target": tgt_name,
-            "matrix": matrix_out(f.src.field, f.matrix)}
-
-
 def algebra_map_in(field, data, src: FilteredAlgebra,
                    tgt: FilteredAlgebra) -> AlgebraMap:
-    return AlgebraMap(src, tgt, matrix_in(field, data["matrix"],
+    return AlgebraMap(src, tgt, matrix_in(field, _get(data, "matrix", list),
                                           shape=(tgt.dim, src.dim)))
-
-
-def twisted_out(t: TwistedComplex, cat_name: str):
-    field = t.cat.field
-    return {
-        "category": cat_name,
-        "terms": [{"obj": obj, "shift": s} for obj, s in t.terms],
-        "delta": {f"{i},{j}": [scalar_out(field, v) for v in e.vec]
-                  for (i, j), e in sorted(t.delta.items())},
-    }
 
 
 def twisted_in(field, data, cat: DgCategory) -> TwistedComplex:
     terms = []
-    for term in data["terms"]:
+    for term in _get(data, "terms", list):
         if isinstance(term, dict):
             terms.append((term["obj"], int(term.get("shift", 0))))
         else:
             terms.append((term[0], int(term[1])))
     delta = {}
-    for key, vec in data.get("delta", {}).items():
+    for key, vec in _items(data, "delta", list, {}):
         i, j = (int(x) for x in key.split(","))
         delta[(i, j)] = tuple(scalar_in(field, v) for v in vec)
     return TwistedComplex(cat, terms, delta)
@@ -385,37 +386,37 @@ def parse_document(data, default_field=None) -> Document:
             and data["field"] != default_field:
         raise DocumentError("field flag conflicts with the document")
     field = field_from_config(cfg)
-    doc = Document(field, data.get("params", {}))
-    for name, cdata in data.get("complexes", {}).items():
+    doc = Document(field, _get(data, "params", dict, {}))
+    for name, cdata in _items(data, "complexes", dict, {}):
         doc.complexes[name] = complex_in(field, cdata)
-    for name, cdata in data.get("categories", {}).items():
+    for name, cdata in _items(data, "categories", dict, {}):
         doc.categories[name] = category_in(field, cdata)
-    for name, fdata in data.get("functors", {}).items():
+    for name, fdata in _items(data, "functors", dict, {}):
         src = doc.categories[fdata["source"]]
         tgt = doc.categories[fdata["target"]]
         doc.functors[name] = functor_in(field, fdata, src, tgt)
-    for name, mdata in data.get("graded_maps", {}).items():
+    for name, mdata in _items(data, "graded_maps", dict, {}):
         src = doc.complexes[mdata["source"]]
         tgt = doc.complexes[mdata["target"]]
         doc.graded_maps[name] = graded_map_in(field, mdata, src, tgt)
-    for name, cdata in data.get("complex_cubes", {}).items():
+    for name, cdata in _items(data, "complex_cubes", dict, {}):
         doc.complex_cubes[name] = complex_cube_in(field, cdata)
-    for name, cdata in data.get("dg_cubes", {}).items():
+    for name, cdata in _items(data, "dg_cubes", dict, {}):
         doc.dg_cubes[name] = dg_cube_in(field, cdata, doc.categories,
                                         doc.functors)
-    for name, adata in data.get("filtered_algebras", {}).items():
+    for name, adata in _items(data, "filtered_algebras", dict, {}):
         doc.filtered_algebras[name] = algebra_in(field, adata)
-    for name, mdata in data.get("modules", {}).items():
+    for name, mdata in _items(data, "modules", dict, {}):
         alg = doc.filtered_algebras[mdata["algebra"]]
         doc.modules[name] = module_in(field, mdata, alg)
-    for name, fdata in data.get("algebra_maps", {}).items():
+    for name, fdata in _items(data, "algebra_maps", dict, {}):
         src = doc.filtered_algebras[fdata["source"]]
         tgt = doc.filtered_algebras[fdata["target"]]
         doc.algebra_maps[name] = algebra_map_in(field, fdata, src, tgt)
     # twisted complexes may live over constructed categories (e.g. the
     # generalized arrow category of a named cube), so they stay raw here and
     # are resolved by the consumer
-    doc.twisted_complexes = dict(data.get("twisted_complexes", {}))
+    doc.twisted_complexes = dict(_items(data, "twisted_complexes", dict, {}))
     return doc
 
 

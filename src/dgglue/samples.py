@@ -211,9 +211,6 @@ def cube_morphism_space(src: ComplexCube, tgt: ComplexCube):
         acc += total
     rows = []
 
-    def add_rows(mat_rows):
-        rows.extend(mat_rows)
-
     # chain-map conditions per vertex: the hom-complex differential at degree 0
     for I in shape:
         h = hom_complex(src.vertices[I], tgt.vertices[I])

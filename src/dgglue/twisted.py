@@ -552,14 +552,6 @@ def glue_prime_hom(x: GluePrimeObject, y: GluePrimeObject) -> Complex:
     return Complex(field, dims, diffs, validate=False)
 
 
-def gp_morphism_to_vec(f: GpMorphism):
-    pairs = [(i, j) for i in range(f.src.n) for j in range(f.tgt.n) if i <= j]
-    vec = []
-    for i, j in pairs:
-        vec.extend(tw_morphism_to_vec(f.entry(i, j)))
-    return tuple(vec)
-
-
 def vec_to_gp_morphism(x: GluePrimeObject, y: GluePrimeObject, degree: int,
                        vec) -> GpMorphism:
     field = x.cat.field

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from dgglue.fields import QQ, PrimeField
 from dgglue.linalg import Matrix
@@ -9,6 +10,11 @@ from dgglue.hypercube import DgCube
 
 
 F7 = PrimeField(7)
+
+# Property tests draw the same examples on every run, and are not timed out:
+# a tier-1 run is reproducible and does not depend on machine speed.
+settings.register_profile("dgglue", derandomize=True, deadline=None)
+settings.load_profile("dgglue")
 
 
 @pytest.fixture(params=["Q", "F7"])

@@ -130,6 +130,61 @@ def test_parallel_below_one_exits_1():
                  "--parallel", "0"]))
 
 
+@pytest.mark.parametrize("doc", [
+    {"field": "Q", "complexes": {"c": {"dims": [1]}},
+     "params": {"complex": "c"}},
+    {"field": "Q", "categories": {"c": {"objects": ["x"], "hom": [],
+                                        "ids": {"x": ["1"]}}},
+     "params": {"complex": "c"}},
+], ids=["list-dims", "list-hom"])
+def test_non_object_section_exits_1(tmp_path, doc):
+    p = tmp_path / "bad_section.json"
+    p.write_text(json.dumps(doc))
+    _assert_input_error(run_cli(["cohomology", "--in", str(p)]))
+
+
+def test_internal_failure_exits_2(tmp_path, monkeypatch, capsys):
+    from dgglue import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "validate_category", broken)
+    p = tmp_path / "cat.json"
+    p.write_text(json.dumps(_path_category({"x": ["1"], "y": ["1"]})))
+    assert cli.main(["validate", "--in", str(p)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "validate",
+                   "internal_error": "RuntimeError: broken invariant"}
+
+
+def _path_category(ids, xyy="1"):
+    """A validate document for the path category of x -> y over Q; `xyy` is
+    the table entry for id_y composed with the arrow."""
+    one = [["1"]]
+    return {"field": "Q", "params": {"target": "c"}, "categories": {"c": {
+        "objects": ["x", "y"],
+        "hom": {p: {"dims": {"0": 1}} for p in ("x->x", "x->y", "y->y")},
+        "comp": {"x|x|x": {"0,0": one}, "y|y|y": {"0,0": one},
+                 "x|x|y": {"0,0": one}, "x|y|y": {"0,0": [[xyy]]}},
+        "ids": ids}}}
+
+
+@pytest.mark.parametrize("xyy, violations", [
+    ("1", ["identity of 'x' has wrong length"]),
+    ("2", ["identity of 'x' has wrong length",
+           "left unit fails on hom('x','y') deg 0",
+           "associativity fails at ('x','y','y','y')"]),
+], ids=["valid-tables", "bad-left-unit"])
+def test_validate_wrong_length_identity(tmp_path, xyy, violations):
+    p = tmp_path / "cat.json"
+    p.write_text(json.dumps(_path_category({"x": [], "y": ["1"]}, xyy)))
+    res = run_cli(["validate", "--in", str(p)])
+    assert res.returncode == 0
+    rep = json.loads(res.stdout)
+    assert rep["verdict"] is False and rep["violations"] == violations
+
+
 def test_max_dim_guard(tmp_path):
     res = run_cli(["check-qff", "--in", str(DOCS / "refinement_square.json"),
                    "--max-dim", "1"])
