@@ -148,6 +148,15 @@ def _param(doc, key, default=None):
     return v
 
 
+def _int_param(doc, key):
+    v = _param(doc, key)
+    try:
+        return int(v)
+    except (TypeError, ValueError):
+        raise InputError(f"parameter {key!r} must be an integer, "
+                         f"not {v!r}") from None
+
+
 def _guard_dg_cube(cube, max_dim):
     if cube.n > CUBE_DIMENSION_CAP:
         raise InputError(f"cube dimension {cube.n} exceeds the cap "
@@ -302,7 +311,7 @@ def run(command, doc, parallel=1, max_dim=64):
 
     if command == "refine":
         alg = _lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
-        d = int(_param(doc, "d"))
+        d = _int_param(doc, "d")
         ideal = _ideal_from_params(doc, alg)
         refined = refine(alg, ideal, d)
         report["algebra"] = dio.algebra_out(refined)
@@ -313,7 +322,7 @@ def run(command, doc, parallel=1, max_dim=64):
         alg = _lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
         alg2 = _lookup(doc.filtered_algebras, _param(doc, "algebra2"), "algebra")
         fmap = _lookup(doc.algebra_maps, _param(doc, "map"), "algebra map")
-        d = int(_param(doc, "d"))
+        d = _int_param(doc, "d")
         ideal = _ideal_from_params(doc, alg)
         cube = refinement_square(alg, alg2, fmap, ideal, d)
         report["document"] = _dg_cube_document(cube, params={"cube": "square"})
@@ -338,6 +347,8 @@ def _ideal_from_params(doc, alg):
     cols = _param(doc, "ideal")
     if isinstance(cols, str):
         cols = json.loads(cols)
+    if not isinstance(cols, list) or not all(isinstance(c, list) for c in cols):
+        raise InputError("ideal must be a list of generators, each a list")
     vectors = [tuple(dio.scalar_in(doc.field, v) for v in col) for col in cols]
     for v in vectors:
         if len(v) != alg.dim:

@@ -388,7 +388,10 @@ def validate_functor(F: DgFunctor, max_report: int = 20) -> list:
             report(f"object map misses {a!r}")
             return bad
     for a in src.objects:
-        if F.apply(src.id_elt(a)).vec != tgt.id_elt(F.obj_map[a]).vec:
+        ida = src.id_elt(a)
+        if len(ida.vec) != src.hom(a, a).dim(0):
+            report(f"identity of {a!r} has wrong length")
+        elif F.apply(ida).vec != tgt.id_elt(F.obj_map[a]).vec:
             report(f"functor does not preserve identity of {a!r}")
     for a in src.objects:
         for b in src.objects:

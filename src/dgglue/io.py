@@ -4,11 +4,17 @@ Scalars: rationals as "a/b" strings (plain integers accepted on input),
 prime-field elements as canonical integers in [0, p).  Subsets of cube
 coordinates are comma-joined sorted integers with "" for the empty set; edge
 keys are "I|l".  Every encoder/decoder pair round-trips structurally.
+
+Reports and documents are written by `dump_json`, whose bytes are exactly
+`json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)`: str-keyed
+dicts and non-empty lists are walked in Python, all-int and all-str lists are
+joined at C speed, and every other value falls back to `json.dumps` itself.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .complexes import Complex, GradedMap
 from .dgcat import DgCategory, DgFunctor
@@ -32,7 +38,15 @@ def scalar_in(field, s):
 
 
 def matrix_out(field, m: Matrix):
-    return [[scalar_out(field, v) for v in row] for row in m.to_lists()]
+    """Dense rows of `m`, written from its row dicts: one store per nonzero."""
+    fmt, zero = (field.format, "0") if field.name == "Q" else (None, 0)
+    out = []
+    for row in m.rows:
+        dense = [zero] * m.ncols
+        for j, v in row.items():
+            dense[j] = fmt(v) if fmt else v
+        out.append(dense)
+    return out
 
 
 def matrix_in(field, rows, shape=None) -> Matrix:
@@ -74,14 +88,41 @@ def _items(data, key, kind, default=None):
     return [(name, _get(table, name, kind)) for name in table]
 
 
+def _int(x) -> int:
+    """An integer field or key part of a document, or DocumentError."""
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise DocumentError(f"expected an integer, not {x!r}") from None
+
+
+# Keys repeat across the tables and categories of a document, so their
+# parses are cached, as rational scalars are in `fields`.
+@lru_cache(maxsize=1024)
+def _split(key, sep, n) -> tuple:
+    """The n parts of a key joined by `sep`, or DocumentError."""
+    parts = tuple(key.split(sep))
+    if len(parts) != n:
+        raise DocumentError(f"key {key!r} must be {n} parts joined by {sep!r}")
+    return parts
+
+
+@lru_cache(maxsize=1024)
+def _ints(key, n) -> tuple:
+    """The n integers of a comma-joined key such as a degree pair "i,j"."""
+    return tuple(_int(x) for x in _split(key, ",", n))
+
+
 def subset_out(I) -> str:
     return ",".join(str(x) for x in sorted(I))
 
 
 def subset_in(s) -> frozenset:
+    if not isinstance(s, str):
+        raise DocumentError(f"a coordinate subset must be a string, not {s!r}")
     if s == "":
         return frozenset()
-    return frozenset(int(x) for x in s.split(","))
+    return frozenset(_int(x) for x in s.split(","))
 
 
 # -- complexes ---------------------------------------------------------------
@@ -97,10 +138,10 @@ def complex_out(c: Complex):
 
 
 def complex_in(field, data) -> Complex:
-    dims = {int(k): int(d) for k, d in _get(data, "dims", dict, {}).items()}
+    dims = {_int(k): _int(d) for k, d in _get(data, "dims", dict, {}).items()}
     diffs = {}
     for k, rows in _get(data, "diff", dict, {}).items():
-        k = int(k)
+        k = _int(k)
         diffs[k] = matrix_in(field, rows,
                              shape=(dims.get(k + 1, 0), dims.get(k, 0)))
     return Complex(field, dims, diffs)
@@ -115,10 +156,10 @@ def graded_map_out(f: GradedMap):
 
 
 def graded_map_in(field, data, source: Complex, target: Complex) -> GradedMap:
-    degree = int(data.get("degree", 0))
+    degree = _int(data.get("degree", 0))
     comps = {}
     for k, rows in _get(data, "comps", dict, {}).items():
-        k = int(k)
+        k = _int(k)
         comps[k] = matrix_in(field, rows,
                              shape=(target.dim(k + degree), source.dim(k)))
     return GradedMap(source, target, degree, comps)
@@ -159,14 +200,14 @@ def category_in(field, data) -> DgCategory:
     objects = list(_get(data, "objects", list))
     hom = {}
     for key, cdata in _items(data, "hom", dict, {}):
-        a, b = key.split("->")
+        a, b = _split(key, "->", 2)
         hom[(a, b)] = complex_in(field, cdata)
     comp = {}
     for key, tables in _items(data, "comp", dict, {}):
-        a, b, c = key.split("|")
+        a, b, c = _split(key, "|", 3)
         comp[(a, b, c)] = {}
         for dkey, rows in tables.items():
-            i, j = (int(x) for x in dkey.split(","))
+            i, j = _ints(dkey, 2)
             comp[(a, b, c)][(i, j)] = matrix_in(field, rows)
     ids = {a: tuple(scalar_in(field, v) for v in vec)
            for a, vec in _items(data, "ids", list)}
@@ -190,10 +231,10 @@ def functor_in(field, data, src: DgCategory, tgt: DgCategory) -> DgFunctor:
     obj_map = dict(_get(data, "obj_map", dict))
     hom_maps = {}
     for key, maps in _items(data, "hom_maps", dict, {}):
-        a, b = key.split("->")
+        a, b = _split(key, "->", 2)
         hom_maps[(a, b)] = {}
         for k, rows in maps.items():
-            k = int(k)
+            k = _int(k)
             hom_maps[(a, b)][k] = matrix_in(
                 field, rows,
                 shape=(tgt.hom(obj_map[a], obj_map[b]).dim(k),
@@ -219,7 +260,7 @@ def complex_cube_out(cube: ComplexCube, names: dict):
 
 
 def complex_cube_in(field, data) -> ComplexCube:
-    top = frozenset(int(x) for x in _get(data, "top", list))
+    top = frozenset(_int(x) for x in _get(data, "top", list))
     if "shape" in data:
         shape = frozenset(subset_in(s) for s in _get(data, "shape", list))
     else:
@@ -228,9 +269,9 @@ def complex_cube_in(field, data) -> ComplexCube:
                 for k, v in _items(data, "vertices", dict)}
     edges = {}
     for key, e in _items(data, "edges", dict):
-        ikey, l = key.split("|")
+        ikey, l = _split(key, "|", 2)
         I = subset_in(ikey)
-        l = int(l)
+        l = _int(l)
         edges[(I, l)] = graded_map_in(field, e, vertices[I], vertices[I | {l}])
     return ComplexCube(field, top, shape, vertices, edges)
 
@@ -244,13 +285,13 @@ def dg_cube_out(cube: DgCube, cat_names: dict, fun_names: dict):
 
 
 def dg_cube_in(field, data, categories: dict, functors: dict) -> DgCube:
-    n = int(data["n"])
+    n = _int(data["n"])
     vertices = {subset_in(k): categories[v]
                 for k, v in _get(data, "vertices", dict).items()}
     edges = {}
     for key, fname in _get(data, "edges", dict).items():
-        ikey, l = key.split("|")
-        edges[(subset_in(ikey), int(l))] = functors[fname]
+        ikey, l = _split(key, "|", 2)
+        edges[(subset_in(ikey), _int(l))] = functors[fname]
     return DgCube(field, n, vertices, edges, validate=True, deep_validate=False)
 
 
@@ -280,7 +321,7 @@ def algebra_in(field, data) -> FilteredAlgebra:
     unit = tuple(scalar_in(field, v) for v in _get(data, "unit", list))
     raw = {}
     for key, vec in _items(data, "mult", list):
-        i, j = (int(x) for x in key.split(","))
+        i, j = _ints(key, 2)
         raw[(i, j)] = tuple(scalar_in(field, v) for v in vec)
 
     def mult(i, j):
@@ -290,7 +331,7 @@ def algebra_in(field, data) -> FilteredAlgebra:
             return raw[(j, i)]
         return tuple(field.zero for _ in range(dim))
 
-    length = int(data["length"])
+    length = _int(data["length"])
     filtration = [Matrix.identity(field, dim)]
     for k in range(1, length + 1):
         rows = _get(data, "filtration", dict).get(str(k), [])
@@ -316,15 +357,15 @@ def module_out(m: GradedModule):
 
 
 def module_in(field, data, alg: FilteredAlgebra) -> GradedModule:
-    length = int(data.get("length", alg.length))
-    dims = [int(d) for d in _get(data, "dims", list)]
+    length = _int(data.get("length", alg.length))
+    dims = [_int(d) for d in _get(data, "dims", list)]
     tau = {}
     for k, rows in _get(data, "tau", dict, {}).items():
-        k = int(k)
+        k = _int(k)
         tau[k] = matrix_in(field, rows, shape=(dims[k - 1], dims[k]))
     act = {}
     for key, mats in _items(data, "act", list, {}):
-        j, k = (int(x) for x in key.split(","))
+        j, k = _ints(key, 2)
         nj = alg.fil(-j).ncols
         if len(mats) != nj:
             raise DocumentError(f"action ({j},{k}) needs {nj} matrices")
@@ -345,12 +386,12 @@ def twisted_in(field, data, cat: DgCategory) -> TwistedComplex:
     terms = []
     for term in _get(data, "terms", list):
         if isinstance(term, dict):
-            terms.append((term["obj"], int(term.get("shift", 0))))
+            terms.append((term["obj"], _int(term.get("shift", 0))))
         else:
-            terms.append((term[0], int(term[1])))
+            terms.append((term[0], _int(term[1])))
     delta = {}
     for key, vec in _items(data, "delta", list, {}):
-        i, j = (int(x) for x in key.split(","))
+        i, j = _ints(key, 2)
         delta[(i, j)] = tuple(scalar_in(field, v) for v in vec)
     return TwistedComplex(cat, terms, delta)
 
@@ -421,4 +462,37 @@ def parse_document(data, default_field=None) -> Document:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    """`json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)`.
+
+    The bytes are exactly those, written mostly at C speed: dicts with only
+    `str` keys are walked here with sorted keys, non-empty lists element by
+    element, and a list holding only `int`s or only `str`s (never `bool`) is
+    one join of `int.__repr__` or `encode_basestring_ascii`.  Every other
+    value (floats, `bool`, `None`, empty containers, dicts with other keys)
+    is a `json.dumps` call re-indented to its depth.
+    """
+    return _dump(obj, "\n")
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dump(o, indent):
+    """`o` as `dump_json` writes it at the depth whose line break is `indent`."""
+    inner = indent + " "
+    if type(o) is dict and o and all(type(k) is str for k in o):
+        body = ("," + inner).join([_escape(k) + ": " + _dump(o[k], inner)
+                                   for k in sorted(o)])
+        return "{" + inner + body + indent + "}"
+    if type(o) is list and o:
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            body = ("," + inner).join(map(int.__repr__, o))
+        elif kinds == {str}:
+            body = ("," + inner).join(map(_escape, o))
+        else:
+            body = ("," + inner).join([_dump(x, inner) for x in o])
+        return "[" + inner + body + indent + "]"
+    # a JSON string never holds a raw newline, so only layout is re-indented
+    return json.dumps(o, sort_keys=True, separators=(",", ": "),
+                      indent=1).replace("\n", indent)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,6 +61,30 @@ def test_reports_byte_identical():
     out1 = run_cli(["check-qff", "--in", str(DOCS / "refinement_square.json")])
     out2 = run_cli(["check-qff", "--in", str(DOCS / "refinement_square.json")])
     assert out1.stdout == out2.stdout
+
+
+@pytest.mark.parametrize("command, document, sha256", [
+    ("refine-square", "refine_square_input.json",
+     "7a58daf9d990fb875cb30ba4a83cabf8f0d88906556e09f866494dca9f1eca63"),
+    ("totalize", "one_cube.json",
+     "d3c88505feb5bbfa328659c88c062d4ffe29f72a53050db2ba61d936ecd8b7fe"),
+    ("check-acyclic", "one_cube.json",
+     "e7438fb39f8c7c6545c58cfb113d5c48772dd65331f760eae83f3de12d4e9380"),
+    ("auslander", "dual_numbers.json",
+     "5f52b5421a1ef1158e44fb0ef45acb68579600c6c4c40d013d9f7d0c80ec51e8"),
+    ("check-qff", "refinement_square.json",
+     "1fff3e6885026a9b1aba8910d736b73b776e4436b23aecdeba25d16d008c8598"),
+    ("check-acyclic", "refinement_square.json",
+     "0de2f2905639bc1bf011643426246139d0043d8444cdebb8f2c4296a41d8083c"),
+])
+def test_report_bytes_pinned(command, document, sha256):
+    # reports are byte-identical for a fixed document across versions, not
+    # only across two runs of one version
+    res = subprocess.run(
+        [sys.executable, "-m", "dgglue.cli", command, "--in",
+         str(DOCS / document)], capture_output=True, cwd=ROOT)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout).hexdigest() == sha256
 
 
 def test_timing_flag_adds_field():
@@ -183,6 +208,65 @@ def test_validate_wrong_length_identity(tmp_path, xyy, violations):
     assert res.returncode == 0
     rep = json.loads(res.stdout)
     assert rep["verdict"] is False and rep["violations"] == violations
+
+
+def test_validate_functor_wrong_length_source_identity(tmp_path):
+    doc = _path_category({"x": [], "y": ["1"]})
+    cats = {"s": doc["categories"]["c"],
+            "t": _path_category({"x": ["1"], "y": ["1"]})["categories"]["c"]}
+    doc.update(params={"target": "F"}, categories=cats, functors={"F": {
+        "source": "s", "target": "t", "obj_map": {"x": "x", "y": "y"},
+        "hom_maps": {p: {"0": [["1"]]} for p in ("x->x", "x->y", "y->y")}}})
+    p = tmp_path / "functor.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli(["validate", "--in", str(p)])
+    assert res.returncode == 0
+    rep = json.loads(res.stdout)
+    assert rep["verdict"] is False
+    assert rep["violations"] == ["identity of 'x' has wrong length"]
+
+
+def _one_complex(dims):
+    return {"field": "Q", "params": {"complex": "c"},
+            "complexes": {"c": {"dims": dims}}}
+
+
+def _one_edge_cube(edge_key):
+    v = {"dims": {"0": 1}}
+    return {"field": "Q", "params": {"cube": "q"}, "complex_cubes": {"q": {
+        "top": [0], "vertices": {"": v, "0": v},
+        "edges": {edge_key: {"comps": {"0": [["1"]]}}}}}}
+
+
+def _path_category_key(old, new, section):
+    doc = _path_category({"x": ["1"], "y": ["1"]})
+    table = doc["categories"]["c"][section]
+    table[new] = table.pop(old)
+    return doc
+
+
+def _square_input(**params):
+    doc = json.loads((DOCS / "refine_square_input.json").read_text())
+    doc["params"].update(params)
+    return doc
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("validate", _path_category_key("x->y", "xy", "hom")),
+    ("validate", _path_category_key("x|x|y", "x|y", "comp")),
+    ("totalize", _one_edge_cube("0")),
+    ("cohomology", _one_complex({"a": 1})),
+    ("cohomology", _one_complex({"0": "one"})),
+    ("refine-square", _square_input(ideal=5)),
+    ("refine-square", _square_input(d="x")),
+    ("totalize", {"field": "Q", "params": {"cube": "q"}, "complex_cubes": {
+        "q": {"top": [0], "shape": [0], "vertices": {}, "edges": {}}}}),
+], ids=["hom-key", "comp-key", "edge-key", "degree-key", "dims-value",
+        "scalar-ideal", "word-d", "number-in-shape"])
+def test_malformed_key_or_integer_exits_1(tmp_path, command, doc):
+    p = tmp_path / "bad_key.json"
+    p.write_text(json.dumps(doc))
+    _assert_input_error(run_cli([command, "--in", str(p)]))
 
 
 def test_max_dim_guard(tmp_path):
