@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import io as dio
 from .complexes import ComplexError
 from .dgcat import DgError, ext_table, validate_category, validate_functor
-from .fields import FieldError, field_to_config
+from .fields import FieldError, field_to_config, parse_prime
 from .filtlab import (FiltError, auslander, generated_ideal, proj_dgcat,
                       refine, refinement_square, validate_algebra_map,
                       validate_filtration, validate_module)
@@ -128,7 +128,7 @@ def _field_flag(flag):
     if flag == "Q":
         return "Q"
     if flag.startswith("Fp:"):
-        return {"Fp": int(flag.split(":", 1)[1])}
+        return {"Fp": parse_prime(flag.split(":", 1)[1])}
     raise InputError(f"bad --field {flag!r}")
 
 

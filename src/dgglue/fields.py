@@ -1,8 +1,13 @@
 """Exact scalar arithmetic: rationals and prime fields.
 
 Every computation in this package runs over one of these two field types;
-there is no floating point anywhere.  Rational scalars are `fractions.Fraction`
-instances, prime-field scalars are plain ints reduced to [0, p).
+there is no floating point anywhere.  A rational scalar is an `int` when it is
+integral and a `fractions.Fraction` otherwise: the matrices of these documents
+are almost all 0 and +-1, and int arithmetic costs far less.  Sums, products
+and comparisons mix the two exactly, and `format` writes both alike; only
+division must go through `Fraction` (`1 / a` on ints is a float), and a
+Fraction whose denominator is 1 may still arise from one.  Prime-field
+scalars are plain ints reduced to [0, p).
 """
 
 from __future__ import annotations
@@ -28,9 +33,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _rational(x):
+    """`x` as a rational scalar: an int when integral, else a Fraction."""
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
 # Documents repeat a few rational strings ("0", "1", "-1", ...) many times,
-# and Fraction(str) runs a regex; Fractions are immutable, so sharing is safe.
-_fraction = lru_cache(maxsize=1024)(Fraction)
+# and Fraction(str) runs a regex; results are immutable, so sharing is safe.
+_parse_rational = lru_cache(maxsize=1024)(_rational)
 
 
 class Rationals:
@@ -40,16 +51,12 @@ class Rationals:
     modulus = None      # p over F_p; selects inline arithmetic in linalg/io
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction, str)):
+            return _rational(x)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -66,7 +73,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(1, a)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -77,7 +84,7 @@ class Rationals:
     def parse(self, s):
         if isinstance(s, (int, str)):
             try:
-                return _fraction(s)
+                return _parse_rational(s)
             except (ValueError, ZeroDivisionError):
                 pass
         raise FieldError(f"bad rational scalar {s!r}")
@@ -161,8 +168,20 @@ def field_from_config(cfg):
     if cfg == "Q":
         return QQ
     if isinstance(cfg, dict) and set(cfg) == {"Fp"}:
-        return PrimeField(int(cfg["Fp"]))
+        return PrimeField(parse_prime(cfg["Fp"]))
     raise FieldError(f"bad field config {cfg!r}")
+
+
+def parse_prime(p) -> int:
+    """The p of F_p, given as a JSON integer or a string of decimal digits."""
+    if type(p) is int:
+        return p
+    if isinstance(p, str) and p.isascii() and p.isdecimal():
+        try:
+            return int(p)
+        except ValueError:      # more digits than int() converts
+            pass
+    raise FieldError(f"bad prime {p!r}: expected an integer")
 
 
 def field_to_config(field):

@@ -99,16 +99,6 @@ def gac(cube: DgCube) -> GacCategory:
 
     out = GacCategory(cube, None, pair_cubes)
 
-    push_cache = {}
-
-    def push(start: frozenset, I: frozenset):
-        key = (start, I)
-        f = push_cache.get(key)
-        if f is None:
-            f = cube.push_functor(start, I)
-            push_cache[key] = f
-        return f
-
     def comp_fn(la, lb, lc, deg_i, deg_j):
         i = out.component_of(la)
         j = out.component_of(lb)
@@ -136,8 +126,8 @@ def gac(cube: DgCube) -> GacCategory:
                 word_f = frozenset(range(i, j + 1)) - If
                 sgn_exp = ag * len(word_f)
                 sgn = field.one if sgn_exp % 2 == 0 else field.neg(field.one)
-                push_g = push(Ig, J)
-                push_f = push(If, J)
+                push_g = cube.push_functor(Ig, J)
+                push_f = cube.push_functor(If, J)
                 amb = cube.vertices[J]
                 base = tgt_off[key]
                 xg, yg = _pair_objs(cube, lb, lc, Ig)

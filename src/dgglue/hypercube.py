@@ -351,6 +351,7 @@ class DgCube:
         self.top = frozenset(range(n))
         self.vertices = {frozenset(k): v for k, v in vertices.items()}
         self.edges = {(frozenset(k), l): e for (k, l), e in edges.items()}
+        self._pushes = {}
         if set(self.vertices) != full_shape(self.top):
             raise CubeError("dg cube must have a vertex for every subset")
         for I in self.vertices:
@@ -374,14 +375,23 @@ class DgCube:
                 bad = validate_functor(e)
                 if bad:
                     return f"dg edge ({sorted(I)},{l}): {bad[0]}"
+        # identity-extended cubes repeat edge functors, hence face composites
+        composites = {}
+
+        def composite(g, f):
+            key = (id(g), id(f))
+            if key not in composites:
+                composites[key] = compose_functors(g, f)
+            return composites[key]
+
         for I in self.vertices:
             for l in sorted(self.top - I):
                 for m in sorted(self.top - I):
                     if m <= l:
                         continue
-                    one = compose_functors(self.edge(I | {l}, m), self.edge(I, l))
-                    two = compose_functors(self.edge(I | {m}, l), self.edge(I, m))
-                    if not functors_equal(one, two):
+                    one = composite(self.edge(I | {l}, m), self.edge(I, l))
+                    two = composite(self.edge(I | {m}, l), self.edge(I, m))
+                    if one is not two and not functors_equal(one, two):
                         return f"dg face ({sorted(I)};{l},{m}) does not strictly commute"
         return None
 
@@ -398,14 +408,28 @@ class DgCube:
         return cur
 
     def push_functor(self, start, I) -> DgFunctor:
-        """The composite edge functor from vertex `start` to vertex I."""
+        """The composite edge functor from vertex `start` to vertex start | I.
+
+        Edges are taken in increasing coordinate order.  Pushes are cached on
+        the cube per (start, I), each the last edge after the cached push one
+        step shorter; a one-step push is the edge itself.  Callers only read
+        the result (`hom_matrix`, `apply`, `obj_map`).
+        """
         start = frozenset(start)
-        cur = identity_functor(self.vertices[start])
-        at = start
-        for l in sorted(frozenset(I) - start):
-            cur = compose_functors(self.edge(at, l), cur)
-            at = at | {l}
-        return cur
+        I = start | frozenset(I)
+        push = self._pushes.get((start, I))
+        if push is None:
+            if I == start:
+                push = identity_functor(self.vertices[start])
+            else:
+                last = max(I - start)
+                prev = I - {last}
+                push = self.edge(prev, last)
+                if prev != start:
+                    push = compose_functors(push,
+                                            self.push_functor(start, prev))
+            self._pushes[(start, I)] = push
+        return push
 
 
 def bimodule_cube(cube: DgCube, a, b, shape=None, a_vertex=frozenset(),

@@ -13,6 +13,7 @@ joined at C speed, and every other value falls back to `json.dumps` itself.
 
 from __future__ import annotations
 
+import copy
 import json
 from functools import lru_cache
 
@@ -53,8 +54,8 @@ def matrix_in(field, rows, shape=None) -> Matrix:
     """Build a matrix from JSON rows in one pass, storing nonzeros only.
 
     Exact ints are reduced inline over F_p; every other scalar goes through
-    `field.parse`, whose values (canonical ints, Fractions) are false exactly
-    when zero.
+    `field.parse`, whose values are false exactly when zero: canonical ints
+    over F_p, and over Q an int when integral and a Fraction otherwise.
     """
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DocumentError("a matrix must be a list of rows, each a list")
@@ -417,6 +418,29 @@ class Document:
         self.algebra_maps = {}
 
 
+def _parse_once(items, parse) -> dict:
+    """{name: parse(raw)} over (name, raw) items, parsing equal raw JSON once.
+
+    Identity-extended cubes repeat a vertex category or an edge functor under
+    several names, and `==` on decoded JSON runs at C speed.  A functor's
+    JSON names its endpoints, so equal JSON means equal endpoints.  Each name
+    still gets its own (shallow-copied) object over the shared tables, which
+    nothing mutates: a cube written back out by `cli._dg_cube_document` names
+    its vertices and edges by object identity.
+    """
+    out = {}
+    parsed = []
+    for name, raw in items:
+        value = next((v for r, v in parsed if r == raw), None)
+        if value is None:
+            value = parse(raw)
+            parsed.append((raw, value))
+        else:
+            value = copy.copy(value)
+        out[name] = value
+    return out
+
+
 def parse_document(data, default_field=None) -> Document:
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
@@ -430,12 +454,13 @@ def parse_document(data, default_field=None) -> Document:
     doc = Document(field, _get(data, "params", dict, {}))
     for name, cdata in _items(data, "complexes", dict, {}):
         doc.complexes[name] = complex_in(field, cdata)
-    for name, cdata in _items(data, "categories", dict, {}):
-        doc.categories[name] = category_in(field, cdata)
-    for name, fdata in _items(data, "functors", dict, {}):
-        src = doc.categories[fdata["source"]]
-        tgt = doc.categories[fdata["target"]]
-        doc.functors[name] = functor_in(field, fdata, src, tgt)
+    # repeats share parsed tables, but every name keeps its own object
+    doc.categories = _parse_once(_items(data, "categories", dict, {}),
+                                 lambda c: category_in(field, c))
+    doc.functors = _parse_once(
+        _items(data, "functors", dict, {}),
+        lambda f: functor_in(field, f, doc.categories[f["source"]],
+                             doc.categories[f["target"]]))
     for name, mdata in _items(data, "graded_maps", dict, {}):
         src = doc.complexes[mdata["source"]]
         tgt = doc.complexes[mdata["target"]]

@@ -6,16 +6,18 @@ staying very sparse, and small matrices lose little to the dict form.
 
 Elimination is Gauss-Jordan on copies of the row dicts.  A column index
 (column -> rows that hold it) finds the rows to touch without scanning every
-row, and the arithmetic is inlined per field: `% p` on ints over F_p,
-`Fraction` operators over Q.  Any row holding the current column may serve as
-its pivot (the sparsest one is taken, to limit fill-in): the reduced row
-echelon form of a matrix is unique, so its pivot columns and rows, and with
-them every rank, kernel basis, solve and report, do not depend on that choice.
+row, and the arithmetic is inlined per field: `% p` on ints over F_p, `int`
+and `Fraction` operators over Q.  Any row holding the current column may
+serve as its pivot (the sparsest one is taken, to limit fill-in): the reduced
+row echelon form of a matrix is unique, so its pivot columns and rows, and
+with them every rank, kernel basis, solve and report, do not depend on that
+choice.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
 
@@ -288,7 +290,7 @@ class Matrix:
             a = prow[col]
             if a != 1:
                 if p is None:
-                    inv = 1 / a
+                    inv = Fraction(1, a)    # a may be an int: 1 / a is a float
                     prow = {j: inv * v for j, v in prow.items()}
                 else:
                     inv = pow(a, -1, p)

@@ -283,6 +283,41 @@ def test_field_flag_conflict(tmp_path):
     assert res.returncode == 1
 
 
+def _field_doc(tmp_path, field):
+    doc = {"params": {"complex": "c"}, "complexes": {"c": {"dims": {"0": 1}}}}
+    if field is not None:
+        doc["field"] = field
+    p = tmp_path / "field.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("field, flag", [
+    ({"Fp": "x"}, None),
+    ({"Fp": "7.0"}, None),
+    ({"Fp": [7]}, None),
+    ({"Fp": None}, None),
+    ({"Fp": 7.5}, None),        # was read as F_7
+    ({"Fp": 7.0}, None),
+    (None, "Fp:x"),
+    (None, "Fp:"),
+], ids=["word", "decimal-string", "list", "null", "float", "integral-float",
+        "flag-word", "flag-empty"])
+def test_bad_field_prime_exits_1(tmp_path, field, flag):
+    args = ["cohomology", "--in", _field_doc(tmp_path, field)]
+    _assert_input_error(run_cli(args + (["--field", flag] if flag else [])))
+
+
+@pytest.mark.parametrize("field, flag", [({"Fp": "7"}, None), (None, "Fp:7")],
+                         ids=["digit-string", "flag"])
+def test_field_prime_as_digits(tmp_path, field, flag):
+    args = ["cohomology", "--in", _field_doc(tmp_path, field)]
+    res = run_cli(args + (["--field", flag] if flag else []))
+    assert res.returncode == 0
+    rep = json.loads(res.stdout)
+    assert rep["field"] == {"Fp": 7} and rep["table"] == {"0": 1}
+
+
 def test_validate_command(tmp_path):
     doc = {
         "field": "Q",

@@ -133,7 +133,10 @@ def matrices(draw, field, nrows=None, max_dim=40):
 
     def scalar():
         if field == QQ:
-            return Fraction(r.randint(-4, 4), r.randint(1, 3))
+            # integral values as ints and as Fraction(k, 1), beside proper
+            # fractions: parsed Q matrices hold ints, eliminated ones both
+            num, den = r.randint(-4, 4), r.randint(1, 3)
+            return r.choice((num, Fraction(num), Fraction(num, den)))
         return r.randrange(field.p)
 
     def rand(n, m):
@@ -141,7 +144,7 @@ def matrices(draw, field, nrows=None, max_dim=40):
         for i in range(n):
             for j in range(m):
                 if r.random() < density:
-                    out.set(i, j, field(scalar()))
+                    out.set(i, j, scalar())
         return out
 
     if inner is None:
