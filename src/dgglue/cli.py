@@ -34,7 +34,8 @@ from .fields import FieldError, field_to_config, parse_prime
 from .filtlab import (FiltError, auslander, generated_ideal, proj_dgcat,
                       refine, refinement_square, validate_algebra_map,
                       validate_filtration, validate_module)
-from .glue import GlueError, gac, glue, hom_iso_check, pi_comparison_map
+from .glue import (GlueError, InternalError, gac, glue, hom_iso_check,
+                   pair_result)
 from .hypercube import (CubeError, check_acyclic_complexcube, extend,
                         extend_dg, stack, stack_dg, totalize)
 from .linalg import LinAlgError
@@ -49,10 +50,6 @@ COMMANDS = ["validate", "cohomology", "totalize", "check-acyclic", "stack",
 
 
 class InputError(ValueError):
-    pass
-
-
-class InternalError(RuntimeError):
     pass
 
 
@@ -113,13 +110,18 @@ def main(argv=None) -> int:
 
 
 def _read_input(path):
-    if path is None:
-        return json.load(sys.stdin)
     try:
+        if path is None:
+            return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read --in {path!r}: {exc}") from exc
+    except json.JSONDecodeError:
+        raise
+    except (OSError, ValueError) as exc:
+        # ValueError: undecodable bytes, or an integer of more digits than
+        # int() converts
+        where = "stdin" if path is None else f"--in {path!r}"
+        raise InputError(f"cannot read {where}: {exc}") from exc
 
 
 def _field_flag(flag):
@@ -188,7 +190,7 @@ def run(command, doc, parallel=1, max_dim=64):
     if command == "cohomology":
         name = _param(doc, "complex")
         c = _lookup(doc.complexes, name, "complex")
-        report["table"] = {str(k): v for k, v in sorted(c.cohomology().items())}
+        report["table"] = _table(c.cohomology())
         return report
 
     if command == "totalize":
@@ -196,7 +198,7 @@ def run(command, doc, parallel=1, max_dim=64):
         cube = _lookup(doc.complex_cubes, name, "complex cube")
         t = totalize(cube)
         report["complex"] = dio.complex_out(t)
-        report["cohomology"] = {str(k): v for k, v in sorted(t.cohomology().items())}
+        report["cohomology"] = _table(t.cohomology())
         report["acyclic"] = t.is_acyclic()
         return report
 
@@ -208,7 +210,7 @@ def run(command, doc, parallel=1, max_dim=64):
             return report
         cube = _lookup(doc.dg_cubes, name, "cube")
         _guard_dg_cube(cube, max_dim)
-        ok, pairs = _acyclic_pairs(doc, name, cube, parallel)
+        ok, pairs = _cube_pairs("acyclic", doc, name, cube, parallel)
         report.update({"kind": "dg_cube", "verdict": ok, "pairs": pairs})
         return report
 
@@ -237,7 +239,7 @@ def run(command, doc, parallel=1, max_dim=64):
             raise InputError("gac-hom source/target must be 'i:object' labels")
         h = g.category.hom(src, tgt)
         report["hom"] = dio.complex_out(h)
-        report["cohomology"] = {str(k): v for k, v in sorted(h.cohomology().items())}
+        report["cohomology"] = _table(h.cohomology())
         return report
 
     if command == "glue":
@@ -257,7 +259,7 @@ def run(command, doc, parallel=1, max_dim=64):
         name = _param(doc, "cube")
         cube = _lookup(doc.dg_cubes, name, "cube")
         _guard_dg_cube(cube, max_dim)
-        ok, pairs = _qff_pairs(doc, name, cube, parallel)
+        ok, pairs = _cube_pairs("qff", doc, name, cube, parallel)
         report.update({"verdict": ok, "pairs": pairs})
         return report
 
@@ -272,8 +274,9 @@ def run(command, doc, parallel=1, max_dim=64):
         tgt = doc.params.get("target")
         todo = [(src, tgt)] if src is not None and tgt is not None else \
             [(a, b) for a in init.objects for b in init.objects]
+        g = gac(cube)
         for a, b in sorted(todo):
-            res = hom_iso_check(cube, a, b)
+            res = hom_iso_check(cube, a, b, g)
             pairs[f"{a}|{b}"] = res
             ok = ok and res
         report.update({"verdict": ok, "pairs": pairs})
@@ -283,7 +286,7 @@ def run(command, doc, parallel=1, max_dim=64):
         cat = _lookup(doc.categories, _param(doc, "category"), "category")
         table = {}
         for (a, b), coh in sorted(ext_table(cat).items()):
-            table[f"{a}|{b}"] = {str(k): v for k, v in sorted(coh.items())}
+            table[f"{a}|{b}"] = _table(coh)
         report["table"] = table
         return report
 
@@ -425,83 +428,56 @@ def _dg_cube_document(cube, params=None):
 # -- pairwise work, optionally in parallel ------------------------------------
 
 
-def _acyclic_pairs(doc, cube_name, cube, parallel):
+_worker = {}     # a pool worker's cube, and its Gac once a qff pair needs it
+
+
+def _cube_pairs(kind, doc, cube_name, cube, parallel):
+    """Decide every object pair of the initial vertex through `pair_result`,
+    in this process or in a pool whose workers each parse the cube once."""
     init = cube.initial()
     pairs = sorted((a, b) for a in init.objects for b in init.objects)
     if parallel > 1:
-        results = _parallel_pairs("acyclic", doc, cube_name, pairs, parallel)
+        raw = _document_roundtrip(doc, cube_name)
+        with ProcessPoolExecutor(max_workers=parallel, initializer=_worker_init,
+                                 initargs=(raw,)) as pool:
+            results = list(pool.map(_worker_pair,
+                                    [(kind, a, b) for a, b in pairs]))
     else:
-        results = {}
-        for a, b in pairs:
-            from .hypercube import bimodule_cube
-            t = totalize(bimodule_cube(cube, a, b))
-            results[(a, b)] = {str(k): v for k, v in sorted(t.cohomology().items())}
-    ok = all(not v for v in results.values())
-    return ok, {f"{a}|{b}": results[(a, b)] for a, b in pairs}
-
-
-def _qff_pairs(doc, cube_name, cube, parallel):
-    init = cube.initial()
-    pairs = sorted((a, b) for a in init.objects for b in init.objects)
-    if parallel > 1:
-        results = _parallel_pairs("qff", doc, cube_name, pairs, parallel)
-    else:
-        from .complexes import induced_cohomology_map
-        g = gac(cube)
-        results = {}
-        for a, b in pairs:
-            cm = pi_comparison_map(g, a, b)
-            if not cm.is_closed():
-                raise InternalError("pi comparison map is not closed")
-            iso = _all_iso(cm)
-            results[(a, b)] = {
-                "source": {str(k): v for k, v in sorted(cm.source.cohomology().items())},
-                "glue": {str(k): v for k, v in sorted(cm.target.cohomology().items())},
-                "isomorphism": iso,
-            }
-    ok = all(v["isomorphism"] for v in results.values())
-    return ok, {f"{a}|{b}": results[(a, b)] for a, b in pairs}
-
-
-def _all_iso(cm):
-    from .complexes import induced_cohomology_map
-    lo = min(cm.source.lo, cm.target.lo) - 1
-    hi = max(cm.source.hi, cm.target.hi) + 1
-    for k in range(lo, hi + 1):
-        m = induced_cohomology_map(cm, k)
-        if m.nrows != m.ncols or m.rank() != m.nrows:
-            return False
-    return True
-
-
-def _pair_worker(payload):
-    kind, raw, cube_name, a, b = payload
-    doc = dio.parse_document(raw)
-    cube = doc.dg_cubes[cube_name]
+        state = {"cube": cube}
+        results = [_pair_out(state, kind, a, b) for a, b in pairs]
     if kind == "acyclic":
-        from .hypercube import bimodule_cube
-        t = totalize(bimodule_cube(cube, a, b))
-        return (a, b), {str(k): v for k, v in sorted(t.cohomology().items())}
-    g = gac(cube)
-    cm = pi_comparison_map(g, a, b)
-    return (a, b), {
-        "source": {str(k): v for k, v in sorted(cm.source.cohomology().items())},
-        "glue": {str(k): v for k, v in sorted(cm.target.cohomology().items())},
-        "isomorphism": _all_iso(cm),
-    }
+        ok = not any(results)
+    else:
+        ok = all(r["isomorphism"] for r in results)
+    return ok, {f"{a}|{b}": r for (a, b), r in zip(pairs, results)}
 
 
-def _parallel_pairs(kind, doc, cube_name, pairs, parallel):
-    raw = _document_roundtrip(doc, cube_name)
-    payloads = [(kind, raw, "cube", a, b) for a, b in pairs]
-    results = {}
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        for key, value in pool.map(_pair_worker, payloads):
-            results[key] = value
-    return results
+def _pair_out(state, kind, a, b):
+    """The report entry of one pair; builds state's Gac for its first qff pair."""
+    if kind == "qff" and "gac" not in state:
+        state["gac"] = gac(state["cube"])
+    res = pair_result(kind, state["cube"], a, b, state.get("gac"))
+    if kind == "acyclic":
+        return _table(res)
+    return {"source": _table(res["source"]), "glue": _table(res["glue"]),
+            "isomorphism": res["isomorphism"]}
+
+
+def _table(coh):
+    return {str(k): v for k, v in sorted(coh.items())}
+
+
+def _worker_init(raw):
+    _worker["cube"] = dio.parse_document(raw).dg_cubes["cube"]
+
+
+def _worker_pair(task):
+    return _pair_out(_worker, *task)
 
 
 def _document_roundtrip(doc, cube_name):
+    """The cube as a JSON document for the pool: a parsed DgCube holds
+    closures and does not pickle."""
     frag = _dg_cube_document(doc.dg_cubes[cube_name])
     frag["dg_cubes"] = {"cube": list(frag["dg_cubes"].values())[0]}
     return frag

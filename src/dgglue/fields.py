@@ -20,16 +20,32 @@ class FieldError(ValueError):
     pass
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every p below MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < MR_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -103,6 +119,9 @@ class PrimeField:
     """Integers mod p for a prime p; elements are canonical ints in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= MR_BOUND:
+            raise FieldError(f"{p} is too large: F_p needs a prime p below "
+                             f"{MR_BOUND}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = self.modulus = p

@@ -465,6 +465,11 @@ def bimodule_cube(cube: DgCube, a, b, shape=None, a_vertex=frozenset(),
                        validate=False)
 
 
+def bimodule_cohomology(cube: DgCube, a, b) -> dict:
+    """Cohomology table of the totalized hom-bimodule cube of the pair (a, b)."""
+    return totalize(bimodule_cube(cube, a, b)).cohomology()
+
+
 def check_acyclic_dgcube(cube: DgCube):
     """Totalize the hom-bimodule cube for every object pair of the initial vertex.
 
@@ -472,16 +477,9 @@ def check_acyclic_dgcube(cube: DgCube):
     table of the totalization; the cube is acyclic iff every table is empty.
     """
     init = cube.initial()
-    report = {}
-    ok = True
-    for a in init.objects:
-        for b in init.objects:
-            t = totalize(bimodule_cube(cube, a, b))
-            h = t.cohomology()
-            report[(a, b)] = h
-            if h:
-                ok = False
-    return ok, report
+    report = {(a, b): bimodule_cohomology(cube, a, b)
+              for a in init.objects for b in init.objects}
+    return not any(report.values()), report
 
 
 def as_morphism_dg(cube: DgCube):

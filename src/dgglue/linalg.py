@@ -66,14 +66,6 @@ class Matrix:
                        for row in rows])
 
     @staticmethod
-    def from_entries(field, nrows, ncols, items) -> "Matrix":
-        m = Matrix(field, nrows, ncols)
-        for (i, j), v in items:
-            if not field.is_zero(v):
-                m.add_at(i, j, v)
-        return m
-
-    @staticmethod
     def column(field, vec) -> "Matrix":
         vec = [field(x) for x in vec]
         return Matrix(field, len(vec), 1,

@@ -276,8 +276,13 @@ def test_criterion_09_refinement():
     x = (field.zero, field.one, field.zero, field.zero)
     ideal = generated_ideal(kx4, [x])
     g = refine(kx4, ideal, 2)
-    x_power = lambda k: Matrix.from_entries(
-        field, 4, 4 - k, (((k + t, t), field.one) for t in range(4 - k)))
+
+    def x_power(k):
+        m = Matrix.zeros(field, 4, 4 - k)
+        for t in range(4 - k):
+            m.set(k + t, t, field.one)
+        return m
+
     ok = (g.fil(-1) == x_power(1) and g.fil(-2) == x_power(2) and
           g.fil(-3) == x_power(3) and g.fil(-4).ncols == 0)
     # randomized instances: the Veronese of the refinement recovers F

@@ -1,13 +1,18 @@
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from dgglue import io as dio
 from dgglue.fields import QQ, PrimeField
+from dgglue.glue import check_qff, gac
+from dgglue.hypercube import check_acyclic_dgcube
 from dgglue.linalg import Matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -395,11 +400,147 @@ def test_stack_extend_commands(tmp_path):
     assert res2.returncode == 0
 
 
-def test_parallel_flag_matches_serial():
-    serial = run_cli(["check-qff", "--in", str(DOCS / "refinement_square.json")])
-    par = run_cli(["check-qff", "--in", str(DOCS / "refinement_square.json"),
-                   "--parallel", "2"])
-    assert serial.stdout == par.stdout
+def _pair_doc(tmp_path, which):
+    """A dg-cube document and its parsed cube: the bundled square (acyclic,
+    4 pairs), a collapse square (not acyclic, 1 pair) or the bundled square
+    extended by identity to a 3-cube (acyclic, 4 pairs)."""
+    from dgglue.cli import _dg_cube_document
+    from dgglue.samples import _extend_by_identity, random_bad_square, rng
+    path = DOCS / "refinement_square.json"
+    if which != "square":
+        square = dio.parse_document(json.loads(path.read_text())).dg_cubes
+        cube = random_bad_square(QQ, rng(3)) if which == "collapse" else \
+            _extend_by_identity(square["square"])
+        name = "square" if cube.n == 2 else f"cube{cube.n}"
+        path = tmp_path / f"{which}.json"
+        path.write_text(json.dumps(_dg_cube_document(cube,
+                                                     params={"cube": name})))
+    doc = dio.parse_document(json.loads(path.read_text()))
+    return str(path), doc.dg_cubes[doc.params["cube"]]
+
+
+def _record_calls(monkeypatch, log):
+    """Log the pid of every document parse, Gac build and pair decision."""
+    from dgglue import cli
+
+    def recorder(name, fn):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(dio, "parse_document",
+                        recorder("parse", dio.parse_document))
+    monkeypatch.setattr(cli, "gac", recorder("gac", cli.gac))
+    monkeypatch.setattr(cli, "pair_result",
+                        recorder("pair", cli.pair_result))
+
+
+def _str_keys(table):
+    return {str(k): v for k, v in table.items()}
+
+
+@pytest.mark.parametrize("command", ["check-acyclic", "check-qff"])
+@pytest.mark.parametrize("which, verdict", [
+    ("square", True), ("collapse", False), ("cube3", True)])
+def test_parallel_flag_matches_serial(tmp_path, monkeypatch, capsys, command,
+                                      which, verdict):
+    from dgglue import cli
+    path, cube = _pair_doc(tmp_path, which)
+    assert cli.main([command, "--in", path]) == 0
+    serial = capsys.readouterr().out
+    rep = json.loads(serial)
+    assert rep["verdict"] is verdict
+
+    # the pool workers are forked, so they inherit the recording patches
+    log = tmp_path / "calls"
+    _record_calls(monkeypatch, log)
+    assert cli.main([command, "--in", path, "--parallel", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    calls = Counter(tuple(line.split()) for line in log.read_text().split("\n")
+                    if line and not line.endswith(f" {os.getpid()}"))
+    workers = {pid for _, pid in calls}
+    pairs = {pid: calls[("pair", pid)] for pid in workers}
+    assert sum(pairs.values()) == len(rep["pairs"])
+    for pid in workers:
+        assert calls[("parse", pid)] == 1
+        assert calls[("gac", pid)] == (command == "check-qff" and
+                                       pairs[pid] > 0)
+    if which != "collapse":     # 4 pairs, 2 workers: one Gac served several
+        assert len(rep["pairs"]) > 2 and max(pairs.values()) >= 2
+
+    # the library reaches the same verdict and tables
+    if command == "check-qff":
+        ok, lib = check_qff(cube)
+        lib = {k: {"source": _str_keys(v["source"]),
+                   "glue": _str_keys(v["glue"]),
+                   "isomorphism": v["isomorphism"]} for k, v in lib.items()}
+    else:
+        ok, lib = check_acyclic_dgcube(cube)
+        lib = {k: _str_keys(v) for k, v in lib.items()}
+    assert ok is verdict
+    assert {f"{a}|{b}": v for (a, b), v in lib.items()} == rep["pairs"]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_pi_not_closed_exits_2(monkeypatch, capsys, parallel):
+    from dgglue import cli
+    from dgglue.complexes import GradedMap
+    monkeypatch.setattr(GradedMap, "is_closed", lambda self: False)
+    assert cli.main(["check-qff", "--in", str(DOCS / "refinement_square.json"),
+                     "--parallel", parallel]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "check-qff",
+        "internal_error": "pi comparison map is not closed"}
+
+
+def test_hom_iso_builds_one_gac(monkeypatch, capsys):
+    from dgglue import cli, glue
+    built = []
+
+    def counting_gac(cube):
+        built.append(cube)
+        return gac(cube)
+    monkeypatch.setattr(cli, "gac", counting_gac)
+    monkeypatch.setattr(glue, "gac", counting_gac)
+    assert cli.main(["hom-iso", "--in",
+                     str(DOCS / "refinement_square.json")]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] is True and len(rep["pairs"]) == 4
+    assert len(built) == 1
+
+
+def test_huge_integer_exits_1(tmp_path, monkeypatch, capsys):
+    # json.load raises a plain ValueError past 4300 digits
+    from dgglue import cli
+    text = ('{"field": "Q", "params": {"complex": "c"}, "complexes": '
+            '{"c": {"dims": {"0": ' + "9" * 5000 + '}}}}')
+    p = tmp_path / "huge.json"
+    p.write_text(text)
+    assert cli.main(["cohomology", "--in", str(p)]) == 1
+    assert "error" in json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["cohomology"]) == 1
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("p, code", [
+    (2 ** 61 - 1, 0),
+    (1000000000039 * 1000000000061, 1),
+    (2 ** 89 - 1, 1),               # prime, but primality is not decided
+], ids=["mersenne-61", "semiprime", "above-bound"])
+def test_large_field_prime(tmp_path, p, code):
+    # trial division took minutes on each of these
+    res = subprocess.run(
+        [sys.executable, "-m", "dgglue.cli", "cohomology", "--in",
+         _field_doc(tmp_path, {"Fp": p})],
+        capture_output=True, text=True, cwd=ROOT, timeout=30)
+    assert res.returncode == code
+    rep = json.loads(res.stdout)
+    if code == 0:
+        assert rep["table"] == {"0": 1}
+    else:
+        assert "error" in rep
 
 
 def test_roundtrip_entities():

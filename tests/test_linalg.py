@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_linalg as ref
 
-from dgglue.fields import QQ, PrimeField, FieldError
+from dgglue.fields import MR_BOUND, QQ, PrimeField, FieldError, _is_prime
 from dgglue.linalg import Matrix, kron, quotient_maps
 from dgglue.samples import random_invertible, random_matrix, rng
 
@@ -14,6 +14,28 @@ from dgglue.samples import random_invertible, random_matrix, rng
 def test_prime_field_rejects_composites():
     with pytest.raises(FieldError):
         PrimeField(6)
+
+
+@pytest.mark.parametrize("p", [
+    3825123056546413051,            # strong pseudoprime to bases 2..23
+    318665857834031151167461,       # strong pseudoprime to bases 2..37
+    1000000000039 * 1000000000061,
+    2 ** 89 - 1,                    # prime, but above MR_BOUND
+], ids=["spsp-23", "spsp-37", "semiprime", "above-bound"])
+def test_prime_field_rejects_large_p(p):
+    with pytest.raises(FieldError):
+        PrimeField(p)
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(10 ** 5) if _is_prime(p)] == \
+        [p for p in range(10 ** 5) if _trial_division(p)]
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert MR_BOUND > 2 ** 61
 
 
 def test_rational_parse_format():
