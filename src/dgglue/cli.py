@@ -349,7 +349,12 @@ def _lookup(table, name, kind):
 def _ideal_from_params(doc, alg):
     cols = _param(doc, "ideal")
     if isinstance(cols, str):
-        cols = json.loads(cols)
+        try:
+            cols = json.loads(cols)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:   # an integer of more digits than int() converts
+            raise InputError(f"cannot read ideal: {exc}") from exc
     if not isinstance(cols, list) or not all(isinstance(c, list) for c in cols):
         raise InputError("ideal must be a list of generators, each a list")
     vectors = [tuple(dio.scalar_in(doc.field, v) for v in col) for col in cols]

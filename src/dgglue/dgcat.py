@@ -4,7 +4,8 @@ Hom complexes carry chosen bases; composition is stored as structure
 constants per basis-degree pair, so every axiom (Leibniz, associativity,
 unitality) is a finite exact linear identity.  A bilinear composition
 hom(b,c)^i (x) hom(a,b)^j -> hom(a,c)^{i+j} is flattened with column index
-g_idx * dim hom(a,b)^j + f_idx.
+g_idx * dim hom(a,b)^j + f_idx; tables assembled from blocks are placed in
+that flattening by `add_bilinear_block` alone.
 """
 
 from __future__ import annotations
@@ -116,36 +117,20 @@ class DgCategory:
     def left_mult(self, g: HomElt, a) -> GradedMap:
         """Post-composition with g in hom(b, c): hom(a, b) -> hom(a, c)."""
         source = self.hom(a, g.src)
-        target = self.hom(a, g.tgt)
-        field = self.field
-        comps = {}
-        for j in source.degrees():
-            m = self.comp_matrix(a, g.src, g.tgt, g.degree, j)
-            nj = source.dim(j)
-            out = Matrix.zeros(field, target.dim(j + g.degree), nj)
-            for (r, col), v in m.items():
-                gi, fi = divmod(col, nj)
-                if not field.is_zero(g.vec[gi]):
-                    out.add_at(r, fi, field.mul(v, g.vec[gi]))
-            comps[j] = out
-        return GradedMap(source, target, g.degree, comps)
+        col = Matrix.column(self.field, g.vec)
+        return GradedMap(source, self.hom(a, g.tgt), g.degree, {
+            j: self.comp_matrix(a, g.src, g.tgt, g.degree, j)
+            @ kron(col, Matrix.identity(self.field, source.dim(j)))
+            for j in source.degrees()})
 
     def right_mult(self, f: HomElt, c) -> GradedMap:
         """Pre-composition with f in hom(a, b): hom(b, c) -> hom(a, c)."""
         source = self.hom(f.tgt, c)
-        target = self.hom(f.src, c)
-        field = self.field
-        comps = {}
-        for i in source.degrees():
-            m = self.comp_matrix(f.src, f.tgt, c, i, f.degree)
-            nj = len(f.vec)
-            out = Matrix.zeros(field, target.dim(i + f.degree), source.dim(i))
-            for (r, col), v in m.items():
-                gi, fi = divmod(col, nj)
-                if not field.is_zero(f.vec[fi]):
-                    out.add_at(r, gi, field.mul(v, f.vec[fi]))
-            comps[i] = out
-        return GradedMap(source, target, f.degree, comps)
+        col = Matrix.column(self.field, f.vec)
+        return GradedMap(source, self.hom(f.src, c), f.degree, {
+            i: self.comp_matrix(f.src, f.tgt, c, i, f.degree)
+            @ kron(Matrix.identity(self.field, source.dim(i)), col)
+            for i in source.degrees()})
 
     def hom_basis(self, a, b):
         """All basis elements of hom(a, b), ordered by (degree, index)."""
@@ -163,6 +148,30 @@ def elt_add(field, x: HomElt, y: HomElt) -> HomElt:
 
 def elt_scale(field, c, x: HomElt) -> HomElt:
     return HomElt(x.src, x.tgt, x.degree, tuple(field.mul(c, v) for v in x.vec))
+
+
+def add_bilinear_block(table: Matrix, block: Matrix, row0: int, g0: int,
+                       f0: int, d_f: int, n_f: int) -> None:
+    """Add `block` into the bilinear `table` in place.
+
+    `block` maps g-coordinates g0.. (x) f-coordinates f0.. of the factors to
+    rows row0..; its column g' * d_f + f' lands in column
+    (g0 + g') * n_f + f0 + f' of `table`, whose f-factor has dimension n_f.
+    Sums are reduced mod p and a zero is never stored.
+    """
+    p = table.field.modulus
+    for r, brow in enumerate(block.rows):
+        dst = table.rows[row0 + r]
+        for c, v in brow.items():
+            g, f = divmod(c, d_f)
+            j = (g0 + g) * n_f + f0 + f
+            w = dst.get(j, 0) + v
+            if p is not None:
+                w %= p
+            if w:
+                dst[j] = w
+            else:
+                dst.pop(j, None)
 
 
 # -- validation -----------------------------------------------------------
@@ -449,27 +458,16 @@ class Bimodule:
     def act_left(self, u: HomElt, b, m_deg: int) -> Matrix:
         """Matrix of values(b, u.src)^{m_deg} -> values(b, u.tgt)^{m_deg+|u|}."""
         field = self.cat_a.field
-        mat = self.left_act(b, u.src, u.tgt, u.degree, m_deg)
-        nj = self.values(b, u.src).dim(m_deg)
-        out = Matrix.zeros(field, self.values(b, u.tgt).dim(m_deg + u.degree), nj)
-        for (r, col), v in mat.items():
-            ui, mi = divmod(col, nj)
-            if not field.is_zero(u.vec[ui]):
-                out.add_at(r, mi, field.mul(v, u.vec[ui]))
-        return out
+        return self.left_act(b, u.src, u.tgt, u.degree, m_deg) @ kron(
+            Matrix.column(field, u.vec),
+            Matrix.identity(field, self.values(b, u.src).dim(m_deg)))
 
     def act_right(self, v: HomElt, a, m_deg: int) -> Matrix:
         """Matrix of values(v.tgt, a)^{m_deg} -> values(v.src, a)^{m_deg+|v|}."""
         field = self.cat_a.field
-        mat = self.right_act(v.src, v.tgt, a, m_deg, v.degree)
-        nj = len(v.vec)
-        out = Matrix.zeros(field, self.values(v.src, a).dim(m_deg + v.degree),
-                           self.values(v.tgt, a).dim(m_deg))
-        for (r, col), w in mat.items():
-            mi, vi = divmod(col, nj)
-            if not field.is_zero(v.vec[vi]):
-                out.add_at(r, mi, field.mul(w, v.vec[vi]))
-        return out
+        return self.right_act(v.src, v.tgt, a, m_deg, v.degree) @ kron(
+            Matrix.identity(field, self.values(v.tgt, a).dim(m_deg)),
+            Matrix.column(field, v.vec))
 
 
 def restricted_diagonal(cat: DgCategory, f: DgFunctor, g: DgFunctor) -> Bimodule:
@@ -481,34 +479,19 @@ def restricted_diagonal(cat: DgCategory, f: DgFunctor, g: DgFunctor) -> Bimodule
         for a in f.source.objects:
             values[(b, a)] = cat.hom(g.obj_map[b], f.obj_map[a])
 
+    eye = partial(Matrix.identity, cat.field)
+
     def left_act(b, a1, a2, i, j):
         # u in hom_{f.source}(a1, a2)^i acts by post-composition with f(u)
-        field = cat.field
-        gb = g.obj_map[b]
-        src_dim = f.source.hom(a1, a2).dim(i)
-        m_dim = cat.hom(gb, f.obj_map[a1]).dim(j)
-        out = Matrix.zeros(field, cat.hom(gb, f.obj_map[a2]).dim(i + j),
-                           src_dim * m_dim)
-        for us in range(src_dim):
-            fu = f.apply(f.source.basis_elt(a1, a2, i, us))
-            m = cat.left_mult(fu, gb).comp(j)
-            for (r, mi), w in m.items():
-                out.add_at(r, us * m_dim + mi, w)
-        return out
+        gb, fa1 = g.obj_map[b], f.obj_map[a1]
+        return cat.comp_matrix(gb, fa1, f.obj_map[a2], i, j) @ kron(
+            f.hom_matrix(a1, a2, i), eye(cat.hom(gb, fa1).dim(j)))
 
     def right_act(b2, b1, a, i, j):
-        field = cat.field
-        fa = f.obj_map[a]
-        v_dim = g.source.hom(b2, b1).dim(j)
-        m_dim = cat.hom(g.obj_map[b1], fa).dim(i)
-        out = Matrix.zeros(field, cat.hom(g.obj_map[b2], fa).dim(i + j),
-                           m_dim * v_dim)
-        for vs in range(v_dim):
-            gv = g.apply(g.source.basis_elt(b2, b1, j, vs))
-            m = cat.right_mult(gv, fa).comp(i)
-            for (r, mi), w in m.items():
-                out.add_at(r, mi * v_dim + vs, w)
-        return out
+        # v in hom_{g.source}(b2, b1)^j acts by pre-composition with g(v)
+        gb1, fa = g.obj_map[b1], f.obj_map[a]
+        return cat.comp_matrix(g.obj_map[b2], gb1, fa, i, j) @ kron(
+            eye(cat.hom(gb1, fa).dim(i)), g.hom_matrix(b2, b1, j))
 
     return Bimodule(g.source, f.source, values, left_act, right_act)
 
@@ -591,10 +574,9 @@ def directed_assemble(components, bimods=None, mults=None) -> DgCategory:
             return components[ia].comp_matrix(x, y, z, i_deg, j_deg)
         if ia == ib < ic:
             # g in phi_{ic,ia}(y, z), f in component ia: right action
-            return _right_action_table(bimods[(ic, ia)], x, y, z, i_deg, j_deg)
+            return bimods[(ic, ia)].right_act(x, y, z, i_deg, j_deg)
         if ia < ib == ic:
-            phi = bimods[(ic, ia)]
-            return _left_action_table(phi, x, y, z, i_deg, j_deg)
+            return bimods[(ic, ia)].left_act(x, y, z, i_deg, j_deg)
         if ia < ib < ic:
             table = mults.get((ic, ib, ia))
             if table is None:
@@ -612,34 +594,6 @@ def directed_assemble(components, bimods=None, mults=None) -> DgCategory:
         i, x = where[lbl]
         ids[lbl] = components[i].ids[x]
     return DgCategory(field, objects, hom, comp_fn, ids)
-
-
-def _right_action_table(phi: Bimodule, x, y, z, i_deg, j_deg) -> Matrix:
-    """phi.values(y,z)^i (x) hom_B(x,y)^j -> phi.values(x,z)^{i+j} as a table."""
-    field = phi.cat_a.field
-    src_g = phi.values(y, z).dim(i_deg)
-    src_f = phi.cat_b.hom(x, y).dim(j_deg)
-    out = Matrix.zeros(field, phi.values(x, z).dim(i_deg + j_deg), src_g * src_f)
-    for fi in range(src_f):
-        v = phi.cat_b.basis_elt(x, y, j_deg, fi)
-        m = phi.act_right(v, z, i_deg)
-        for (r, gi), w in m.items():
-            out.add_at(r, gi * src_f + fi, w)
-    return out
-
-
-def _left_action_table(phi: Bimodule, x, y, z, i_deg, j_deg) -> Matrix:
-    """hom_A(y,z)^i (x) phi.values(x,y)^j -> phi.values(x,z)^{i+j} as a table."""
-    field = phi.cat_a.field
-    src_g = phi.cat_a.hom(y, z).dim(i_deg)
-    src_f = phi.values(x, y).dim(j_deg)
-    out = Matrix.zeros(field, phi.values(x, z).dim(i_deg + j_deg), src_g * src_f)
-    for gi in range(src_g):
-        u = phi.cat_a.basis_elt(y, z, i_deg, gi)
-        m = phi.act_left(u, x, j_deg)
-        for (r, fi), w in m.items():
-            out.add_at(r, gi * src_f + fi, w)
-    return out
 
 
 def check_directed(cat: DgCategory, partition) -> bool:
@@ -673,43 +627,26 @@ class H0Category:
 
 
 def h0_category(cat: DgCategory) -> H0Category:
-    field = cat.field
-    reps = {}
-    projs = {}
-    cycles = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            r, p, z = cohomology_basis(cat.hom(a, b), 0)
-            reps[(a, b)] = r
-            projs[(a, b)] = p
-            cycles[(a, b)] = z
-    hom_dims = {pair: reps[pair].ncols for pair in reps}
-    rep_cols = {pair: reps[pair].columns() for pair in reps}
+    """H^0 of `cat`: each table is proj @ cycles.solve(C @ kron(R_bc, R_ab)),
+    with R the chosen H^0 representatives of cohomology_basis."""
+    objs = cat.objects
+    bases = {(a, b): cohomology_basis(cat.hom(a, b), 0)
+             for a in objs for b in objs}
 
-    def to_h0(pair, vec):
-        coords = cycles[pair].solve(Matrix.column(field, vec))
+    def to_h0(pair, cocycles: Matrix) -> Matrix:
+        _, proj, cycles = bases[pair]
+        coords = cycles.solve(cocycles)
         if coords is None:
             raise DgError("element is not a cocycle")
-        return (projs[pair] @ coords).columns()[0]
+        return proj @ coords
 
-    comp = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            for c in cat.objects:
-                nbc, nab = hom_dims[(b, c)], hom_dims[(a, b)]
-                nac = hom_dims[(a, c)]
-                m = Matrix.zeros(field, nac, nbc * nab)
-                for gi in range(nbc):
-                    g = HomElt(b, c, 0, rep_cols[(b, c)][gi])
-                    for fi in range(nab):
-                        f = HomElt(a, b, 0, rep_cols[(a, b)][fi])
-                        gf = cat.compose(g, f)
-                        for r, v in enumerate(to_h0((a, c), gf.vec)):
-                            if not field.is_zero(v):
-                                m.add_at(r, gi * nab + fi, v)
-                comp[(a, b, c)] = m
-    ids = {a: to_h0((a, a), cat.id_elt(a).vec) for a in cat.objects}
-    return H0Category(cat.objects, hom_dims, comp, ids)
+    comp = {(a, b, c): to_h0((a, c), cat.comp_matrix(a, b, c, 0, 0) @ kron(
+        bases[(b, c)][0], bases[(a, b)][0]))
+        for a, b, c in product(objs, repeat=3)}
+    ids = {a: to_h0((a, a), Matrix.column(cat.field, cat.ids[a])).columns()[0]
+           for a in objs}
+    return H0Category(objs, {pair: reps.ncols for pair, (reps, _, _)
+                             in bases.items()}, comp, ids)
 
 
 # -- small constructors ----------------------------------------------------

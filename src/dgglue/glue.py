@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .complexes import GradedMap, is_quasi_iso
-from .dgcat import DgCategory, HomElt
+from .dgcat import DgCategory, HomElt, add_bilinear_block
 from .hypercube import (DgCube, bimodule_cohomology, bimodule_cube,
                         interval_shape, punctured_shape, t_layout, totalize)
-from .linalg import Matrix
+from .linalg import Matrix, kron
 from .twisted import TwistedComplex, TwMorphism, tw_hom, _hom_layout, \
-    tw_morphism_to_vec, tw_category
+    tw_category
 
 
 class GlueError(ValueError):
@@ -107,7 +107,6 @@ def gac(cube: DgCube) -> GacCategory:
     def comp_fn(la, lb, lc, deg_i, deg_j):
         i = out.component_of(la)
         j = out.component_of(lb)
-        k = out.component_of(lc)
         rows = hom.get((la, lc), None)
         rows = rows.dim(deg_i + deg_j) if rows is not None else 0
         nbc = hom.get((lb, lc))
@@ -117,41 +116,30 @@ def gac(cube: DgCube) -> GacCategory:
         mat = Matrix.zeros(field, rows, nbc * nab)
         if rows == 0 or nbc == 0 or nab == 0:
             return mat
-        g_layout = out.layout(lb, lc, deg_i)
         f_layout = out.layout(la, lb, deg_j)
-        tgt_layout = out.layout(la, lc, deg_i + deg_j)
-        tgt_off = {(I, a): off for I, a, d, off in tgt_layout}
-        for Ig, ag, dg, offg in g_layout:
+        tgt_off = {(I, a): off for I, a, d, off
+                   in out.layout(la, lc, deg_i + deg_j)}
+        for Ig, ag, _, offg in out.layout(lb, lc, deg_i):
             for If, af, df, offf in f_layout:
                 J = Ig | If
-                key = (J, ag + af)
-                if key not in tgt_off:
+                base = tgt_off.get((J, ag + af))
+                if base is None:
                     continue
-                # Koszul sign: g passes the X-word of f
-                word_f = frozenset(range(i, j + 1)) - If
-                sgn_exp = ag * len(word_f)
-                sgn = field.one if sgn_exp % 2 == 0 else field.neg(field.one)
+                # push both factors to A_J and compose there:
+                # C_J(Pf a, Pf b, Pg c) @ kron(P_g, P_f)
                 push_g = cube.push_functor(Ig, J)
                 push_f = cube.push_functor(If, J)
-                amb = cube.vertices[J]
-                base = tgt_off[key]
                 xg, yg = _pair_objs(cube, lb, lc, Ig)
                 xf, yf = _pair_objs(cube, la, lb, If)
-                for gi in range(dg):
-                    vecg = [field.zero] * dg
-                    vecg[gi] = field.one
-                    ge = HomElt(xg, yg, ag, tuple(vecg))
-                    ge_p = push_g.apply(ge) if J != Ig else ge
-                    for fi in range(df):
-                        vecf = [field.zero] * df
-                        vecf[fi] = field.one
-                        fe = HomElt(xf, yf, af, tuple(vecf))
-                        fe_p = push_f.apply(fe) if J != If else fe
-                        prod = amb.compose(ge_p, fe_p)
-                        col = (offg + gi) * nab + (offf + fi)
-                        for r, v in enumerate(prod.vec):
-                            if not field.is_zero(v):
-                                mat.add_at(base + r, col, field.mul(sgn, v))
+                block = cube.vertices[J].comp_matrix(
+                    push_f.obj_map[xf], push_f.obj_map[yf], push_g.obj_map[yg],
+                    ag, af) @ kron(push_g.hom_matrix(xg, yg, ag),
+                                   push_f.hom_matrix(xf, yf, af))
+                # Koszul sign: g passes the X-word of f
+                word_f = frozenset(range(i, j + 1)) - If
+                if ag * len(word_f) % 2:
+                    block = -block
+                add_bilinear_block(mat, block, base, offg, offf, df, nab)
         return mat
 
     ids = {}
@@ -220,24 +208,27 @@ def pi_morphism(g: GacCategory, f: HomElt, pia: TwistedComplex,
 
 
 def pi_comparison_map(g: GacCategory, a, b) -> GradedMap:
-    """The chain map A_empty(a, b) -> Hom_Glue(pi a, pi b) induced by pi."""
+    """The chain map A_empty(a, b) -> Hom_Glue(pi a, pi b) induced by pi.
+
+    Its degree-m matrix is diagonal in the tw_hom layout: the (p, p) block is
+    (-1)^{pm} times the push to A_{n-1-p} (see `pi_morphism`).
+    """
     cube = g.cube
-    init = cube.initial()
-    src = init.hom(a, b)
+    n = cube.n
+    src = cube.initial().hom(a, b)
     pia, pib = pi_object(g, a), pi_object(g, b)
-    tgt = tw_hom(pia, pib)
-    field = cube.field
     comps = {}
     for m in src.degrees():
-        mat = Matrix.zeros(field, tgt.dim(m), src.dim(m))
-        for idx in range(src.dim(m)):
-            f = init.basis_elt(a, b, m, idx)
-            vec = tw_morphism_to_vec(pi_morphism(g, f, pia, pib))
-            for r, v in enumerate(vec):
-                if not field.is_zero(v):
-                    mat.set(r, idx, v)
-        comps[m] = mat
-    return GradedMap(src, tgt, 0, comps)
+        layout = _hom_layout(pia, pib, m)
+        blocks = {}
+        for bi, ((q, p), _, _, _) in enumerate(layout):
+            if q == p:
+                push = cube.push_functor(frozenset(), {n - 1 - p}) \
+                    .hom_matrix(a, b, m)
+                blocks[(bi, 0)] = -push if p * m % 2 else push
+        comps[m] = Matrix.block(cube.field, [d for _, _, d, _ in layout],
+                                [src.dim(m)], blocks)
+    return GradedMap(src, tw_hom(pia, pib), 0, comps)
 
 
 def pair_result(kind: str, cube: DgCube, a, b, g: GacCategory = None):
@@ -283,26 +274,18 @@ def hom_iso_check(cube: DgCube, a, b, g: GacCategory = None) -> bool:
         g = gac(cube)
     n = cube.n
     field = cube.field
-    init = cube.initial()
     punct = bimodule_cube(cube, a, b, shape=punctured_shape(cube.top))
     T = totalize(punct)
+    cm = pi_comparison_map(g, a, b)
     pia, pib = pi_object(g, a), pi_object(g, b)
-    H = tw_hom(pia, pib)
     T1 = T.shift(1)
-    Hn = H.shift(n)
-
-    def tw_block_offsets(m):
-        out = {}
-        off = 0
-        for (q, p), a_deg, d in _hom_layout(pia, pib, m):
-            out[(q, p, a_deg)] = off
-            off += d
-        return out
+    Hn = cm.target.shift(n)
 
     comps = {}
     for k in T1.degrees():
         mat = Matrix.zeros(field, Hn.dim(k), T1.dim(k))
-        tw_off = tw_block_offsets(k + n)
+        tw_off = {(q, p, a_deg): off
+                  for (q, p), a_deg, _, off in _hom_layout(pia, pib, k + n)}
         src_off = 0
         for I, a_deg, d in t_layout(punct, k + 1):
             i, j = min(I), max(I)
@@ -330,27 +313,18 @@ def hom_iso_check(cube: DgCube, a, b, g: GacCategory = None) -> bool:
     if not (iso.is_closed() and iso.is_iso()):
         return False
 
-    # triangle: the boundary f -> sum_i (-1)^{n-1-i} V_i f followed by the
-    # comparison map must agree with pi itself.
-    hom_ab = init.hom(a, b)
-    for m in hom_ab.degrees():
-        for idx in range(hom_ab.dim(m)):
-            f = init.basis_elt(a, b, m, idx)
-            # delta(f) in T^{m-(n-1)}; block {i} has base degree m
-            t_deg = m - (n - 1)
-            vec = [field.zero] * T.dim(t_deg)
-            off = 0
-            for I, a_deg, d, in t_layout(punct, t_deg):
-                if len(I) == 1 and a_deg == m:
-                    i = min(I)
-                    push = cube.push_functor(frozenset(), I)
-                    vf = push.apply(f)
-                    sgn = field.one if (n - 1 - i) % 2 == 0 else field.neg(field.one)
-                    for r, v in enumerate(vf.vec):
-                        vec[off + r] = field.mul(sgn, v)
-                off += d
-            lhs = iso.comp(t_deg - 1).apply(vec)
-            rhs = tw_morphism_to_vec(pi_morphism(g, f, pia, pib))
-            if tuple(lhs) != tuple(rhs):
-                return False
+    # triangle: the boundary D f = sum_i (-1)^{n-1-i} V_i f, landing in the
+    # blocks {i} of T^{m-(n-1)} at base degree m, followed by the comparison
+    # map must agree with pi itself: iso_{m-n} @ D_m == pi_m.
+    for m in cm.source.degrees():
+        layout = t_layout(punct, m - (n - 1))
+        blocks = {}
+        for bi, (I, a_deg, _) in enumerate(layout):
+            if len(I) == 1 and a_deg == m:
+                push = cube.push_functor(frozenset(), I).hom_matrix(a, b, m)
+                blocks[(bi, 0)] = -push if (n - 1 - min(I)) % 2 else push
+        D = Matrix.block(field, [d for _, _, d in layout], [cm.source.dim(m)],
+                         blocks)
+        if iso.comp(m - n) @ D != cm.comp(m):
+            return False
     return True

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Complex
-from .dgcat import DgCategory, HomElt, elt_add, elt_scale
+from .dgcat import DgCategory, HomElt, add_bilinear_block, elt_add, elt_scale
 from .linalg import Matrix
 
 
@@ -107,14 +107,17 @@ def shift_hom(cat: DgCategory, x, y) -> Complex:
 
 
 def _hom_layout(t1: TwistedComplex, t2: TwistedComplex, m: int):
-    """Blocks ((q, p), base_degree, dim) of tw-hom degree m, sorted by (q, p)."""
+    """Blocks ((q, p), base_degree, dim, offset) of tw-hom degree m, sorted
+    by (q, p)."""
     layout = []
+    off = 0
     for q, (obj_q, l_q) in enumerate(t2.terms):
         for p, (obj_p, k_p) in enumerate(t1.terms):
             a_deg = m + l_q - k_p
             d = t1.cat.hom(obj_p, obj_q).dim(a_deg)
             if d:
-                layout.append(((q, p), a_deg, d))
+                layout.append(((q, p), a_deg, d, off))
+                off += d
     return layout
 
 
@@ -238,14 +241,14 @@ def tw_hom(t1: TwistedComplex, t2: TwistedComplex) -> Complex:
     for m in sorted(degrees):
         layout = _hom_layout(t1, t2, m)
         layouts[m] = layout
-        dims[m] = sum(d for _, _, d in layout)
+        dims[m] = sum(d for _, _, d, _ in layout)
     diffs = {}
     for m in sorted(degrees):
         if not dims.get(m) or not dims.get(m + 1):
             continue
         src_layout = layouts[m]
         tgt_layout = layouts[m + 1]
-        tgt_index = {blk: bi for bi, (blk, _, _) in enumerate(tgt_layout)}
+        tgt_index = {blk: bi for bi, (blk, _, _, _) in enumerate(tgt_layout)}
         blocks = {}
 
         def put(tgt_blk, src_bi, mat):
@@ -254,7 +257,7 @@ def tw_hom(t1: TwistedComplex, t2: TwistedComplex) -> Complex:
             key = (tgt_index[tgt_blk], src_bi)
             blocks[key] = blocks[key] + mat if key in blocks else mat
 
-        for src_bi, ((q, p), a_deg, d) in enumerate(src_layout):
+        for src_bi, ((q, p), a_deg, _, _) in enumerate(src_layout):
             obj_p, k_p = t1.terms[p]
             obj_q, l_q = t2.terms[q]
             h = cat.hom(obj_p, obj_q)
@@ -270,17 +273,15 @@ def tw_hom(t1: TwistedComplex, t2: TwistedComplex) -> Complex:
                 if d_elt is not None:
                     put((q, p2), src_bi,
                         cat.right_mult(d_elt, obj_q).comp(a_deg).scaled(msgn))
-        diffs[m] = Matrix.block(field, [d for _, _, d in tgt_layout],
-                                [d for _, _, d in src_layout], blocks)
+        diffs[m] = Matrix.block(field, [d for _, _, d, _ in tgt_layout],
+                                [d for _, _, d, _ in src_layout], blocks)
     return Complex(field, dims, diffs, validate=False)
 
 
 def tw_morphism_to_vec(f: TwMorphism):
     """Coordinates of f in tw_hom(f.src, f.tgt) at degree f.degree."""
-    field = f.src.cat.field
-    layout = _hom_layout(f.src, f.tgt, f.degree)
     vec = []
-    for (q, p), a_deg, d in layout:
+    for (q, p), _, _, _ in _hom_layout(f.src, f.tgt, f.degree):
         vec.extend(f.entry(q, p).vec)
     return tuple(vec)
 
@@ -290,13 +291,11 @@ def vec_to_tw_morphism(t1: TwistedComplex, t2: TwistedComplex, degree: int,
     field = t1.cat.field
     layout = _hom_layout(t1, t2, degree)
     entries = {}
-    off = 0
-    for (q, p), a_deg, d in layout:
+    for (q, p), a_deg, d, off in layout:
         chunk = tuple(vec[off:off + d])
-        off += d
         if any(not field.is_zero(x) for x in chunk):
             entries[(q, p)] = HomElt(t1.terms[p][0], t2.terms[q][0], a_deg, chunk)
-    if off != len(vec):
+    if sum(d for _, _, d, _ in layout) != len(vec):
         raise TwError("vector length does not match hom layout")
     return TwMorphism(t1, t2, degree, entries)
 
@@ -334,23 +333,20 @@ def tw_category(cat: DgCategory, objs: dict) -> DgCategory:
     hom = {(n1, n2): tw_hom(tws[n1], tws[n2]) for n1 in names for n2 in names}
 
     def comp_fn(a, b, c, i_deg, j_deg):
-        field = cat.field
-        rows = hom[(a, c)].dim(i_deg + j_deg)
-        nbc = hom[(b, c)].dim(i_deg)
+        ta, tb, tc = tws[a], tws[b], tws[c]
         nab = hom[(a, b)].dim(j_deg)
-        out = Matrix.zeros(field, rows, nbc * nab)
-        for gi in range(nbc):
-            gvec = [field.zero] * nbc
-            gvec[gi] = field.one
-            g = vec_to_tw_morphism(tws[b], tws[c], i_deg, gvec)
-            for fi in range(nab):
-                fvec = [field.zero] * nab
-                fvec[fi] = field.one
-                fm = vec_to_tw_morphism(tws[a], tws[b], j_deg, fvec)
-                prod = tw_morphism_to_vec(tw_compose(g, fm))
-                for r, v in enumerate(prod):
-                    if not field.is_zero(v):
-                        out.add_at(r, gi * nab + fi, v)
+        out = Matrix.zeros(cat.field, hom[(a, c)].dim(i_deg + j_deg),
+                           hom[(b, c)].dim(i_deg) * nab)
+        tgt_off = {blk: off for blk, _, _, off
+                   in _hom_layout(ta, tc, i_deg + j_deg)}
+        f_layout = _hom_layout(ta, tb, j_deg)
+        # (g f)_{rp} = sum over mid of g_{r,mid} f_{mid,p}, with no signs
+        for (r, mid), ag, _, offg in _hom_layout(tb, tc, i_deg):
+            for (mid_f, p), af, df, offf in f_layout:
+                if mid_f == mid and (r, p) in tgt_off:
+                    add_bilinear_block(out, cat.comp_matrix(
+                        ta.terms[p][0], tb.terms[mid][0], tc.terms[r][0],
+                        ag, af), tgt_off[(r, p)], offg, offf, df, nab)
         return out
 
     ids = {n: tw_morphism_to_vec(tw_identity(tws[n])) for n in names}

@@ -68,27 +68,68 @@ def test_reports_byte_identical():
     assert out1.stdout == out2.stdout
 
 
-@pytest.mark.parametrize("command, document, sha256", [
+def _glue_square_document():
+    """refinement_square.json with twisted complexes over its Gac: the bare
+    objects of `test_glue_command` and pi of object "0", whose delta is
+    nonzero."""
+    doc = json.loads((DOCS / "refinement_square.json").read_text())
+    doc["twisted_complexes"] = {
+        "t0": {"terms": [["0:0", 0]], "delta": {}},
+        "t1": {"terms": [["1:0", 0]], "delta": {}},
+        "t2": {"terms": [["1:0", 0], ["0:0", 1]], "delta": {"0,1": ["1", "0"]},
+               "category": "gac:square"},
+    }
+    return doc
+
+
+# (command, document, sha256 of stdout, --param values, exit code)
+PINNED_REPORTS = [
     ("refine-square", "refine_square_input.json",
-     "7a58daf9d990fb875cb30ba4a83cabf8f0d88906556e09f866494dca9f1eca63"),
+     "7a58daf9d990fb875cb30ba4a83cabf8f0d88906556e09f866494dca9f1eca63", (), 0),
     ("totalize", "one_cube.json",
-     "d3c88505feb5bbfa328659c88c062d4ffe29f72a53050db2ba61d936ecd8b7fe"),
+     "d3c88505feb5bbfa328659c88c062d4ffe29f72a53050db2ba61d936ecd8b7fe", (), 0),
     ("check-acyclic", "one_cube.json",
-     "e7438fb39f8c7c6545c58cfb113d5c48772dd65331f760eae83f3de12d4e9380"),
+     "e7438fb39f8c7c6545c58cfb113d5c48772dd65331f760eae83f3de12d4e9380", (), 0),
     ("auslander", "dual_numbers.json",
-     "5f52b5421a1ef1158e44fb0ef45acb68579600c6c4c40d013d9f7d0c80ec51e8"),
+     "5f52b5421a1ef1158e44fb0ef45acb68579600c6c4c40d013d9f7d0c80ec51e8", (), 0),
     ("check-qff", "refinement_square.json",
-     "1fff3e6885026a9b1aba8910d736b73b776e4436b23aecdeba25d16d008c8598"),
+     "1fff3e6885026a9b1aba8910d736b73b776e4436b23aecdeba25d16d008c8598", (), 0),
     ("check-acyclic", "refinement_square.json",
-     "0de2f2905639bc1bf011643426246139d0043d8444cdebb8f2c4296a41d8083c"),
-])
-def test_report_bytes_pinned(command, document, sha256):
+     "0de2f2905639bc1bf011643426246139d0043d8444cdebb8f2c4296a41d8083c", (), 0),
+    ("gac-hom", "refinement_square.json",
+     "14f5889294897299ea117596b2efb20c135c32d2113804188163f2c43e2889ec",
+     ("source=0:0", "target=1:0"), 0),
+    ("hom-iso", "refinement_square.json",
+     "45019fa61fd1473983277a51ca12fe2185e9e260b88da754204b71eb79487752", (), 0),
+    # names no entity of the document: the error report, exit 1
+    ("validate", "refinement_square.json",
+     "8963978b112c3d2271eb6cdc9e6486f2e4b6f0450a593a405fbe13447c4bac78",
+     ("target=gac:square",), 1),
+    ("glue", "glue_square",
+     "43723a85e83401c0bab2c4cca09a39d9077cc278c0b803989a7a77d42ad71808",
+     ("objects=t0,t1,t2",), 0),
+    ("validate", "glue_square",
+     "9ab9f30958d40203a8dfca6b094e2e0bfe4265e8972aa2eb7f19aa2466101680",
+     ("target=t2",), 0),
+]
+
+
+@pytest.mark.parametrize("command, document, sha256, params, code", [
+    pytest.param(*case, id="-".join([case[0], *case[3], case[1], case[2]]))
+    for case in PINNED_REPORTS])
+def test_report_bytes_pinned(tmp_path, command, document, sha256, params,
+                             code):
     # reports are byte-identical for a fixed document across versions, not
     # only across two runs of one version
-    res = subprocess.run(
-        [sys.executable, "-m", "dgglue.cli", command, "--in",
-         str(DOCS / document)], capture_output=True, cwd=ROOT)
-    assert res.returncode == 0
+    path = DOCS / document
+    if document == "glue_square":
+        path = tmp_path / "glue_square.json"
+        path.write_text(json.dumps(_glue_square_document()))
+    argv = [sys.executable, "-m", "dgglue.cli", command, "--in", str(path)]
+    for kv in params:
+        argv += ["--param", kv]
+    res = subprocess.run(argv, capture_output=True, cwd=ROOT)
+    assert res.returncode == code
     assert hashlib.sha256(res.stdout).hexdigest() == sha256
 
 
@@ -521,6 +562,11 @@ def test_huge_integer_exits_1(tmp_path, monkeypatch, capsys):
     assert "error" in json.loads(capsys.readouterr().out)
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert cli.main(["cohomology"]) == 1
+    assert "error" in json.loads(capsys.readouterr().out)
+    # the same limit in a --param value that `refine` decodes as JSON
+    assert cli.main(["refine", "--in", str(DOCS / "refine_square_input.json"),
+                     "--param", "ideal=[[" + "9" * 5000 + "]]",
+                     "--param", "d=2"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
 
 
