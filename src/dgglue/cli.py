@@ -198,8 +198,8 @@ def run(command, doc, parallel=1, max_dim=64):
         cube = _lookup(doc.complex_cubes, name, "complex cube")
         t = totalize(cube)
         report["complex"] = dio.complex_out(t)
-        report["cohomology"] = _table(t.cohomology())
-        report["acyclic"] = t.is_acyclic()
+        report["cohomology"] = _table(coh := t.cohomology())
+        report["acyclic"] = not coh
         return report
 
     if command == "check-acyclic":
@@ -292,6 +292,9 @@ def run(command, doc, parallel=1, max_dim=64):
 
     if command == "auslander":
         alg = _lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
+        bad = validate_filtration(alg, max_report=1)
+        if bad:
+            raise InputError(f"algebra is not a filtered algebra: {bad[0]}")
         aus = auslander(alg)
         bad = aus.validate()
         if bad:

@@ -82,9 +82,10 @@ class Complex:
 
     def cohomology(self) -> dict:
         """Map degree -> dim H^k, for the degrees where it is nonzero."""
+        r = {k: self.d(k).rank() for k in range(self.lo - 1, self.hi + 1)}
         out = {}
         for k in range(self.lo, self.hi + 1):
-            h = self.dim(k) - self.d(k).rank() - self.d(k - 1).rank()
+            h = self.dim(k) - r[k] - r[k - 1]
             if h:
                 out[k] = h
         return out
@@ -130,20 +131,16 @@ class GradedMap:
                                 self.target.dim(k + self.degree), self.source.dim(k))
         return m
 
-    def boundary(self) -> "GradedMap":
-        """d(f) = d_T f - (-1)^|f| f d_S, a graded map of degree |f| + 1."""
-        field = self.source.field
-        sgn = field.one if self.degree % 2 == 0 else field.neg(field.one)
-        comps = {}
-        for k in range(self.source.lo - 1, self.source.hi + 1):
-            m = self.target.d(k + self.degree) @ self.comp(k) - \
-                (self.comp(k + 1) @ self.source.d(k)).scaled(sgn)
-            if not m.is_zero():
-                comps[k] = m
-        return GradedMap(self.source, self.target, self.degree + 1, comps)
-
     def is_closed(self) -> bool:
-        return not self.boundary().comps
+        """d_T f == (-1)^|f| f d_S in every degree, i.e. d(f) = 0."""
+        neg = self.source.field.neg(self.source.field.one)
+        for k in range(self.source.lo - 1, self.source.hi + 1):
+            rhs = self.comp(k + 1) @ self.source.d(k)
+            if self.degree % 2:
+                rhs = rhs.scaled(neg)
+            if self.target.d(k + self.degree) @ self.comp(k) != rhs:
+                return False
+        return True
 
     def is_iso(self) -> bool:
         """Degreewise bijectivity (no chain condition)."""

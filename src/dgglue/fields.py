@@ -98,7 +98,7 @@ class Rationals:
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
     def parse(self, s):
-        if isinstance(s, (int, str)):
+        if isinstance(s, (int, str)) and type(s) is not bool:
             try:
                 return _parse_rational(s)
             except (ValueError, ZeroDivisionError):
@@ -162,7 +162,7 @@ class PrimeField:
         return str(a % self.p)
 
     def parse(self, s):
-        if isinstance(s, (int, str)):
+        if isinstance(s, (int, str)) and type(s) is not bool:
             try:
                 return int(s) % self.p
             except ValueError:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 from functools import lru_cache
+from itertools import compress
 
 from .complexes import Complex, GradedMap
 from .dgcat import DgCategory, DgFunctor
@@ -50,12 +51,18 @@ def matrix_out(field, m: Matrix):
     return out
 
 
+# Rows shorter than this read faster through the comprehension: the calls
+# that set up the C-speed read cost more than they save on a few entries.
+WIDE_ROW = 32
+
+
 def matrix_in(field, rows, shape=None) -> Matrix:
     """Build a matrix from JSON rows in one pass, storing nonzeros only.
 
-    Exact ints are reduced inline over F_p; every other scalar goes through
-    `field.parse`, whose values are false exactly when zero: canonical ints
-    over F_p, and over Q an int when integral and a Fraction otherwise.
+    Over F_p a row of at least WIDE_ROW plain ints, all in [0, p), is read at
+    C speed; other exact ints are reduced inline.  Every other scalar goes
+    through `field.parse`, whose values are false exactly when zero: canonical
+    ints over F_p, and over Q an int when integral and a Fraction otherwise.
     """
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DocumentError("a matrix must be a list of rows, each a list")
@@ -63,10 +70,17 @@ def matrix_in(field, rows, shape=None) -> Matrix:
     if any(len(row) != ncols for row in rows):
         raise DocumentError("ragged rows")
     p, parse = field.modulus, field.parse
-    m = Matrix(field, len(rows), ncols, [
-        {j: x for j, v in enumerate(row)
-         if (x := v % p if p and type(v) is int else parse(v))}
-        for row in rows])
+    wide, cols, out = p and ncols >= WIDE_ROW, range(ncols), []
+    for row in rows:
+        if wide and set(map(type, row)) == {int}:
+            idx = list(compress(cols, row))
+            vals = list(map(row.__getitem__, idx))
+            if not vals or 0 < min(vals) and max(vals) < p:
+                out.append(dict(zip(idx, vals)))
+                continue
+        out.append({j: x for j, v in enumerate(row)
+                    if (x := v % p if p and type(v) is int else parse(v))})
+    m = Matrix(field, len(rows), ncols, out)
     if shape is not None and m.shape != shape and m.nrows * m.ncols == 0:
         m = Matrix.zeros(field, *shape)
     if shape is not None and m.shape != shape:

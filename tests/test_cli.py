@@ -570,6 +570,31 @@ def test_huge_integer_exits_1(tmp_path, monkeypatch, capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("field", ["Q", {"Fp": 7}], ids=["Q", "F7"])
+def test_boolean_scalar_exits_1(tmp_path, capsys, field):
+    # JSON true is not the scalar 1
+    from dgglue import cli
+    doc = json.loads((DOCS / "one_cube.json").read_text())
+    doc["field"] = field
+    doc["complex_cubes"]["arrow"]["vertices"][""]["diff"]["-1"] = [[True, "1"]]
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["totalize", "--in", str(p)]) == 1
+    assert "true" in json.loads(capsys.readouterr().out)["error"].lower()
+
+
+def test_auslander_of_non_unital_algebra_exits_1(tmp_path, capsys):
+    from dgglue import cli
+    doc = json.loads((DOCS / "dual_numbers.json").read_text())
+    doc["filtered_algebras"]["dual"]["mult"]["0,0"][1] = 7
+    p = tmp_path / "non_unital.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["auslander", "--in", str(p)]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "auslander", "error":
+                   "algebra is not a filtered algebra: unit fails on basis 0"}
+
+
 @pytest.mark.parametrize("p, code", [
     (2 ** 61 - 1, 0),
     (1000000000039 * 1000000000061, 1),
