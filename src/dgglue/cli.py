@@ -181,7 +181,7 @@ def run(command, doc, parallel=1, max_dim=64):
 
     if command == "validate":
         target = _param(doc, "target")
-        kind, violations = _validate_target(doc, target)
+        kind, violations = _validate_target(doc, target, max_dim)
         report.update({"target": target, "kind": kind,
                        "violations": violations,
                        "verdict": not violations})
@@ -367,7 +367,7 @@ def _ideal_from_params(doc, alg):
     return generated_ideal(alg, vectors)
 
 
-def _validate_target(doc, target):
+def _validate_target(doc, target, max_dim):
     if target in doc.complexes:
         return "complex", []          # construction already enforces d^2 = 0
     if target in doc.categories:
@@ -380,6 +380,10 @@ def _validate_target(doc, target):
     if target in doc.dg_cubes:
         d = doc.dg_cubes[target].defect(deep=True)
         return "dg_cube", [d] if d else []
+    if target.startswith("gac:") and target[4:] in doc.dg_cubes:
+        cube = doc.dg_cubes[target[4:]]
+        _guard_dg_cube(cube, max_dim)
+        return "gac", validate_category(gac(cube).category)
     if target in doc.filtered_algebras:
         return "filtered_algebra", validate_filtration(doc.filtered_algebras[target])
     if target in doc.modules:

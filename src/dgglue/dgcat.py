@@ -11,12 +11,11 @@ that flattening by `add_bilinear_block` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Callable
 
 from .complexes import Complex, GradedMap, cohomology_basis, zero_complex
-from .linalg import LinAlgError, Matrix, kron
+from .linalg import LinAlgError, Matrix, mul_kron
 
 
 class DgError(ValueError):
@@ -119,8 +118,8 @@ class DgCategory:
         source = self.hom(a, g.src)
         col = Matrix.column(self.field, g.vec)
         return GradedMap(source, self.hom(a, g.tgt), g.degree, {
-            j: self.comp_matrix(a, g.src, g.tgt, g.degree, j)
-            @ kron(col, Matrix.identity(self.field, source.dim(j)))
+            j: mul_kron(self.comp_matrix(a, g.src, g.tgt, g.degree, j), col,
+                        source.dim(j))
             for j in source.degrees()})
 
     def right_mult(self, f: HomElt, c) -> GradedMap:
@@ -128,8 +127,8 @@ class DgCategory:
         source = self.hom(f.tgt, c)
         col = Matrix.column(self.field, f.vec)
         return GradedMap(source, self.hom(f.src, c), f.degree, {
-            i: self.comp_matrix(f.src, f.tgt, c, i, f.degree)
-            @ kron(Matrix.identity(self.field, source.dim(i)), col)
+            i: mul_kron(self.comp_matrix(f.src, f.tgt, c, i, f.degree),
+                        source.dim(i), col)
             for i in source.degrees()})
 
     def hom_basis(self, a, b):
@@ -189,7 +188,8 @@ def validate_category(cat: DgCategory, max_report: int = 20) -> list:
     """Check all dg category axioms; returns a list of violations.
 
     Each object tuple is decided by exact identities of composition tables C
-    (column g_idx * dim + f_idx holds g (x) f), one per degree combination:
+    (column g_idx * dim + f_idx holds g (x) f), one per degree combination,
+    each product C kron(X, Y) taken by `mul_kron`:
       C(a,b,b,0,k) kron(id_b, I) = I = C(a,a,b,k,0) kron(I, id_a)
       d_ac C(a,b,c,i,j) = C(a,b,c,i+1,j) kron(d_bc, I)
                           + (-1)^i C(a,b,c,i,j+1) kron(I, d_ab)
@@ -209,7 +209,6 @@ def validate_category(cat: DgCategory, max_report: int = 20) -> list:
         if len(bad) < max_report:
             bad.append(msg)
 
-    eye = partial(Matrix.identity, field)
     ids = {}
     for a in objs:
         ida = cat.id_elt(a)
@@ -222,23 +221,24 @@ def validate_category(cat: DgCategory, max_report: int = 20) -> list:
 
     def unit_laws(a, b):
         for k in live[a, b].degrees():
-            one = eye(live[a, b].dim(k))
-            yield b not in ids or comp(a, b, b, 0, k) @ kron(ids[b], one) == one
-            yield a not in ids or comp(a, a, b, k, 0) @ kron(one, ids[a]) == one
+            n = live[a, b].dim(k)
+            one = Matrix.identity(field, n)
+            yield b not in ids or mul_kron(comp(a, b, b, 0, k), ids[b], n) == one
+            yield a not in ids or mul_kron(comp(a, a, b, k, 0), n, ids[a]) == one
 
     def leibniz_laws(a, b, c):
         hab, hbc = live[a, b], live[b, c]
         for i, j in product(hbc.degrees(), hab.degrees()):
             lhs = hom(a, c).d(i + j) @ comp(a, b, c, i, j)
-            dg = comp(a, b, c, i + 1, j) @ kron(hbc.d(i), eye(hab.dim(j)))
-            df = comp(a, b, c, i, j + 1) @ kron(eye(hbc.dim(i)), hab.d(j))
+            dg = mul_kron(comp(a, b, c, i + 1, j), hbc.d(i), hab.dim(j))
+            df = mul_kron(comp(a, b, c, i, j + 1), hbc.dim(i), hab.d(j))
             yield lhs == dg + (df if i % 2 == 0 else -df)
 
     def assoc_laws(a, b, c, e):
         hab, hce = live[a, b], live[c, e]
         for i, j, k in product(hce.degrees(), live[b, c].degrees(), hab.degrees()):
-            hg_f = comp(a, b, e, i + j, k) @ kron(comp(b, c, e, i, j), eye(hab.dim(k)))
-            h_gf = comp(a, c, e, i, j + k) @ kron(eye(hce.dim(i)), comp(a, b, c, j, k))
+            hg_f = mul_kron(comp(a, b, e, i + j, k), comp(b, c, e, i, j), hab.dim(k))
+            h_gf = mul_kron(comp(a, c, e, i, j + k), hce.dim(i), comp(a, b, c, j, k))
             yield hg_f == h_gf
 
     # units act as identities
@@ -389,8 +389,8 @@ def validate_functor(F: DgFunctor, max_report: int = 20) -> list:
         Fa, Fb, Fc = F.obj_map[a], F.obj_map[b], F.obj_map[c]
         for i, j in product(src.hom(b, c).degrees(), src.hom(a, b).degrees()):
             yield F.hom_matrix(a, c, i + j) @ src.comp_matrix(a, b, c, i, j) == \
-                tgt.comp_matrix(Fa, Fb, Fc, i, j) @ \
-                kron(F.hom_matrix(b, c, i), F.hom_matrix(a, b, j))
+                mul_kron(tgt.comp_matrix(Fa, Fb, Fc, i, j),
+                         F.hom_matrix(b, c, i), F.hom_matrix(a, b, j))
 
     for a in src.objects:
         if a not in F.obj_map or F.obj_map[a] not in tgt.objects:
@@ -457,17 +457,15 @@ class Bimodule:
 
     def act_left(self, u: HomElt, b, m_deg: int) -> Matrix:
         """Matrix of values(b, u.src)^{m_deg} -> values(b, u.tgt)^{m_deg+|u|}."""
-        field = self.cat_a.field
-        return self.left_act(b, u.src, u.tgt, u.degree, m_deg) @ kron(
-            Matrix.column(field, u.vec),
-            Matrix.identity(field, self.values(b, u.src).dim(m_deg)))
+        return mul_kron(self.left_act(b, u.src, u.tgt, u.degree, m_deg),
+                        Matrix.column(self.cat_a.field, u.vec),
+                        self.values(b, u.src).dim(m_deg))
 
     def act_right(self, v: HomElt, a, m_deg: int) -> Matrix:
         """Matrix of values(v.tgt, a)^{m_deg} -> values(v.src, a)^{m_deg+|v|}."""
-        field = self.cat_a.field
-        return self.right_act(v.src, v.tgt, a, m_deg, v.degree) @ kron(
-            Matrix.identity(field, self.values(v.tgt, a).dim(m_deg)),
-            Matrix.column(field, v.vec))
+        return mul_kron(self.right_act(v.src, v.tgt, a, m_deg, v.degree),
+                        self.values(v.tgt, a).dim(m_deg),
+                        Matrix.column(self.cat_a.field, v.vec))
 
 
 def restricted_diagonal(cat: DgCategory, f: DgFunctor, g: DgFunctor) -> Bimodule:
@@ -479,19 +477,17 @@ def restricted_diagonal(cat: DgCategory, f: DgFunctor, g: DgFunctor) -> Bimodule
         for a in f.source.objects:
             values[(b, a)] = cat.hom(g.obj_map[b], f.obj_map[a])
 
-    eye = partial(Matrix.identity, cat.field)
-
     def left_act(b, a1, a2, i, j):
         # u in hom_{f.source}(a1, a2)^i acts by post-composition with f(u)
         gb, fa1 = g.obj_map[b], f.obj_map[a1]
-        return cat.comp_matrix(gb, fa1, f.obj_map[a2], i, j) @ kron(
-            f.hom_matrix(a1, a2, i), eye(cat.hom(gb, fa1).dim(j)))
+        return mul_kron(cat.comp_matrix(gb, fa1, f.obj_map[a2], i, j),
+                        f.hom_matrix(a1, a2, i), cat.hom(gb, fa1).dim(j))
 
     def right_act(b2, b1, a, i, j):
         # v in hom_{g.source}(b2, b1)^j acts by pre-composition with g(v)
         gb1, fa = g.obj_map[b1], f.obj_map[a]
-        return cat.comp_matrix(g.obj_map[b2], gb1, fa, i, j) @ kron(
-            eye(cat.hom(gb1, fa).dim(i)), g.hom_matrix(b2, b1, j))
+        return mul_kron(cat.comp_matrix(g.obj_map[b2], gb1, fa, i, j),
+                        cat.hom(gb1, fa).dim(i), g.hom_matrix(b2, b1, j))
 
     return Bimodule(g.source, f.source, values, left_act, right_act)
 
@@ -627,7 +623,7 @@ class H0Category:
 
 
 def h0_category(cat: DgCategory) -> H0Category:
-    """H^0 of `cat`: each table is proj @ cycles.solve(C @ kron(R_bc, R_ab)),
+    """H^0 of `cat`: each table is proj @ cycles.solve(C kron(R_bc, R_ab)),
     with R the chosen H^0 representatives of cohomology_basis."""
     objs = cat.objects
     bases = {(a, b): cohomology_basis(cat.hom(a, b), 0)
@@ -640,8 +636,8 @@ def h0_category(cat: DgCategory) -> H0Category:
             raise DgError("element is not a cocycle")
         return proj @ coords
 
-    comp = {(a, b, c): to_h0((a, c), cat.comp_matrix(a, b, c, 0, 0) @ kron(
-        bases[(b, c)][0], bases[(a, b)][0]))
+    comp = {(a, b, c): to_h0((a, c), mul_kron(cat.comp_matrix(a, b, c, 0, 0),
+                                             bases[(b, c)][0], bases[(a, b)][0]))
         for a, b, c in product(objs, repeat=3)}
     ids = {a: to_h0((a, a), Matrix.column(cat.field, cat.ids[a])).columns()[0]
            for a in objs}

@@ -13,10 +13,11 @@ making every construction reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import Complex
-from .dgcat import DgCategory, DgFunctor
-from .linalg import LinAlgError, Matrix, quotient_maps
+from .dgcat import DgCategory, DgFunctor, add_bilinear_block
+from .linalg import LinAlgError, Matrix, mul_kron, quotient_maps
 
 
 class FiltError(ValueError):
@@ -49,26 +50,34 @@ class FilteredAlgebra:
             raise FiltError("filtration must list F^0 .. F^{-length}")
         self._quot_cache = {}
         self._membership_cache = {}
+        self._vec_coords = {}       # (s, vector) -> nonzero (index, coordinate)
 
     # -- algebra arithmetic -------------------------------------------
 
     def mul_basis(self, i, j):
         return self._mult[(i, j)]
 
+    @cached_property
+    def table(self) -> Matrix:
+        """Structure constants: the dim x dim^2 matrix M whose column
+        i * dim + j is e_i e_j, so that u v = M kron(u, v)."""
+        field, dim = self.field, self.dim
+        rows = [{} for _ in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                for r, w in enumerate(self._mult[(i, j)]):
+                    if field.is_zero(w):
+                        continue
+                    if r >= dim:
+                        raise FiltError(f"product ({i},{j}) has more than "
+                                        f"{dim} coordinates")
+                    rows[r][i * dim + j] = field(w)
+        return Matrix(field, dim, dim * dim, rows)
+
     def mul_vec(self, u, v):
         field = self.field
-        out = [field.zero] * self.dim
-        for i, a in enumerate(u):
-            if field.is_zero(a):
-                continue
-            for j, b in enumerate(v):
-                if field.is_zero(b):
-                    continue
-                c = field.mul(a, b)
-                for r, w in enumerate(self._mult[(i, j)]):
-                    if not field.is_zero(w):
-                        out[r] = field.add(out[r], field.mul(c, w))
-        return tuple(out)
+        return mul_kron(self.table, Matrix.column(field, u),
+                        Matrix.column(field, v)).columns()[0]
 
     # -- filtration access ---------------------------------------------
 
@@ -84,12 +93,12 @@ class FilteredAlgebra:
         b = self.fil(s)
         return b.solve(Matrix.column(self.field, vec)) is not None
 
-    def fil_coords(self, s: int, vec):
-        """Coordinates of an ambient vector in the F^s basis B.
+    def fil_coords(self, s: int, x: Matrix) -> Matrix:
+        """Coordinates in the F^s basis B of the columns of x.
 
         As from `solve`: zero off the pivot columns P of B, unique on them.
         Each clamped level caches B and a left inverse L of B_P (zero rows
-        off P); a call is x = L v and the membership check B x == v.
+        off P); a call is L x and the membership check B (L x) == x.
         """
         level = max(min(s, 0), -self.length)
         cached = self._membership_cache.get(level)
@@ -106,11 +115,10 @@ class FilteredAlgebra:
                           [rows.get(j, {}) for j in range(basis.ncols)])
             cached = self._membership_cache[level] = (basis, left)
         basis, left = cached
-        if len(vec) != self.dim:
+        if x.nrows != self.dim:
             raise LinAlgError("solve: row mismatch")  # as `solve` refuses it
-        vec = tuple(map(self.field, vec))
-        coords = left.apply(vec)
-        if basis.apply(coords) != vec:
+        coords = left @ x
+        if basis @ coords != x:
             raise FiltError(f"vector is not in F^{s}")
         return coords
 
@@ -126,14 +134,15 @@ class FilteredAlgebra:
         if inside is None:
             raise FiltError(f"F^{t} is not contained in F^{s}")
         proj, lift = quotient_maps(self.field, bs.ncols, inside)
-        q = FiltQuot(self, s, t, bs, proj, lift, proj.nrows)
+        q = FiltQuot(self, s, t, bs, proj, lift, proj.nrows, bs @ lift)
         self._quot_cache[key] = q
         return q
 
 
 @dataclass
 class FiltQuot:
-    """F^s / F^t with projection/lift relative to the F^s basis."""
+    """F^s / F^t with projection/lift relative to the F^s basis; the
+    columns of `ambient` (basis @ lift) are the quotient basis in the algebra."""
 
     alg: FilteredAlgebra
     s: int
@@ -142,44 +151,53 @@ class FiltQuot:
     proj: Matrix
     lift: Matrix
     dim: int
+    ambient: Matrix
 
-    def from_ambient(self, vec):
-        return self.proj.apply(self.alg.fil_coords(self.s, vec))
+    def from_ambient(self, x: Matrix) -> Matrix:
+        """Quotient coordinates of the columns of x, each in F^s."""
+        return self.proj @ self.alg.fil_coords(self.s, x)
 
     def to_ambient(self, coords):
-        return self.basis.apply(self.lift.apply(coords))
+        return self.ambient.apply(coords)
 
 
 def validate_filtration(alg: FilteredAlgebra, max_report: int = 20) -> list:
-    """Check all filtered-algebra axioms; returns a list of violations."""
+    """Check all filtered-algebra axioms; returns a list of violations.
+
+    Through the structure constants M, unit, commutativity and
+    associativity are the identities M kron(1, I) = I, M P = M (P swaps the
+    factors) and M kron(M, I) = M kron(I, M), and F^a F^b <= F^{a+b} is
+    the membership of the columns of M kron(B_a, B_b) in F^{a+b}.  Only a
+    failing identity is walked column by column to name its violations, so
+    the list is that of checking every basis element.
+    """
     bad = []
-    field = alg.field
+    field, n, M = alg.field, alg.dim, alg.table
 
     def report(msg):
         if len(bad) < max_report:
             bad.append(msg)
 
-    one = alg.unit
-    for i in range(alg.dim):
-        e = [field.zero] * alg.dim
-        e[i] = field.one
-        if alg.mul_vec(one, e) != tuple(e):
-            report(f"unit fails on basis {i}")
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            ei = [field.zero] * alg.dim
-            ei[i] = field.one
-            ej = [field.zero] * alg.dim
-            ej[j] = field.one
-            if alg.mul_vec(ei, ej) != alg.mul_vec(ej, ei):
-                report(f"commutativity fails at ({i},{j})")
-            for k in range(alg.dim):
-                ek = [field.zero] * alg.dim
-                ek[k] = field.one
-                lhs = alg.mul_vec(alg.mul_vec(ei, ej), ek)
-                rhs = alg.mul_vec(ei, alg.mul_vec(ej, ek))
-                if lhs != rhs:
-                    report(f"associativity fails at ({i},{j},{k})")
+    eye = Matrix.identity(field, n)
+    if len(alg.unit) != n:
+        report("unit has wrong length")
+    elif (left := mul_kron(M, Matrix.column(field, alg.unit), n)) != eye:
+        cols = left.transpose().rows
+        for i in range(n):
+            if cols[i] != eye.rows[i]:
+                report(f"unit fails on basis {i}")
+    cols = M.transpose().rows
+    lhs, rhs = mul_kron(M, M, n), mul_kron(M, n, M)
+    if lhs != rhs or any(cols[i * n + j] != cols[j * n + i]
+                         for i in range(n) for j in range(i)):
+        lcols, rcols = lhs.transpose().rows, rhs.transpose().rows
+        for i in range(n):
+            for j in range(n):
+                if cols[i * n + j] != cols[j * n + i]:
+                    report(f"commutativity fails at ({i},{j})")
+                for k in range(n):
+                    if lcols[(i * n + j) * n + k] != rcols[(i * n + j) * n + k]:
+                        report(f"associativity fails at ({i},{j},{k})")
     if alg.fil(0).ncols != alg.dim or alg.fil(0).rank() != alg.dim:
         report("F^0 is not the whole algebra")
     if alg.fil(-alg.length).ncols != 0:
@@ -191,10 +209,11 @@ def validate_filtration(alg: FilteredAlgebra, max_report: int = 20) -> list:
     # each F^{-k} an ideal, and F^i F^j <= F^{i+j}
     for a in range(alg.length + 1):
         for b in range(alg.length + 1):
-            fa, fb = alg.fil(-a), alg.fil(-b)
-            for ca in fa.columns():
-                for cb in fb.columns():
-                    prod = alg.mul_vec(ca, cb)
+            prods = mul_kron(M, alg.fil(-a), alg.fil(-b))
+            try:
+                alg.fil_coords(-a - b, prods)
+            except FiltError:
+                for prod in prods.columns():
                     if not alg.in_fil(-a - b, prod):
                         report(f"F^{-a} * F^{-b} escapes F^{-a - b}")
     return bad
@@ -254,13 +273,17 @@ class GradedModule:
 
     def act_elem(self, j: int, k: int, ambient_vec) -> Matrix:
         """Action of an ambient vector lying in F^{-j}: degree -k -> -k-j."""
-        field = self.alg.field
-        coords = self.alg.fil_coords(-j, ambient_vec)
+        alg = self.alg
+        key = (-j, tuple(ambient_vec))
+        coords = alg._vec_coords.get(key)
+        if coords is None:
+            x = alg.fil_coords(-j, Matrix.column(alg.field, ambient_vec))
+            coords = alg._vec_coords[key] = [
+                (s, row[0]) for s, row in enumerate(x.rows) if row]
         rows = self.dims[k + j] if k + j < self.length else 0
-        out = Matrix.zeros(field, rows, self.dims[k] if k < self.length else 0)
-        for s, c in enumerate(coords):
-            if not field.is_zero(c):
-                out = out + self.act_basis(j, k, s).scaled(c)
+        out = Matrix.zeros(alg.field, rows, self.dims[k] if k < self.length else 0)
+        for s, c in coords:
+            out = out + self.act_basis(j, k, s).scaled(c)
         return out
 
     def act_deg(self, ambient_vec, deg: int, d_src: int) -> Matrix:
@@ -352,44 +375,25 @@ def truncated_free(alg: FilteredAlgebra, i: int) -> GradedModule:
     n = alg.length
     if not (0 <= i < n):
         raise FiltError("generator index out of range")
-    field = alg.field
     quots = [alg.quot(i - k, i - n) for k in range(n)]
     dims = [q.dim for q in quots]
-    tau = {}
-    for k in range(1, n):
-        src, tgt = quots[k], quots[k - 1]
-        m = Matrix.zeros(field, tgt.dim, src.dim)
-        for c in range(src.dim):
-            unitc = [field.zero] * src.dim
-            unitc[c] = field.one
-            amb = src.to_ambient(unitc)
-            for r, v in enumerate(tgt.from_ambient(amb)):
-                if not field.is_zero(v):
-                    m.set(r, c, v)
-        tau[k] = m
+    tau = {k: quots[k - 1].from_ambient(quots[k].ambient) for k in range(1, n)}
     act = {}
     for j in range(n):
         fj = alg.fil(-j)
         for k in range(n - j):
-            mats = []
-            for col in fj.columns():
-                src, tgt = quots[k], quots[k + j]
-                m = Matrix.zeros(field, tgt.dim, src.dim)
-                for c in range(src.dim):
-                    unitc = [field.zero] * src.dim
-                    unitc[c] = field.one
-                    amb = alg.mul_vec(col, src.to_ambient(unitc))
-                    for r, v in enumerate(tgt.from_ambient(amb)):
-                        if not field.is_zero(v):
-                            m.set(r, c, v)
-                mats.append(m)
-            act[(j, k)] = mats
+            # column s * d + c: the s-th F^{-j} basis vector times class c
+            src, tgt, d = quots[k], quots[k + j], quots[k].dim
+            both = tgt.from_ambient(mul_kron(alg.table, fj, src.ambient))
+            act[(j, k)] = [both.submatrix((0, tgt.dim), (s * d, s * d + d))
+                           for s in range(fj.ncols)]
     return GradedModule(alg, n, dims, tau, act)
 
 
 def free_generator_coords(alg: FilteredAlgebra, i: int):
     """Coordinates of the class of 1 in the degree -i component of P_i."""
-    return alg.quot(0, i - alg.length).from_ambient(alg.unit)
+    unit = Matrix.column(alg.field, alg.unit)
+    return alg.quot(0, i - alg.length).from_ambient(unit).columns()[0]
 
 
 def zero_module(alg: FilteredAlgebra, length=None) -> GradedModule:
@@ -510,7 +514,9 @@ def proj_dgcat(alg: FilteredAlgebra) -> DgCategory:
     """The dg category of the truncated-free generators, in degree zero.
 
     Objects 0..n-1; hom(i, j) = F^{j-i} / F^{j-n} concentrated in degree 0,
-    with composition the multiplication of representatives.
+    with composition the multiplication of representatives: the table of
+    (i, j, k) is the quotient image of M kron(A_jk, A_ij), M the structure
+    constants and A the representative matrices (`FiltQuot.ambient`).
     """
     n = alg.length
     field = alg.field
@@ -527,22 +533,12 @@ def proj_dgcat(alg: FilteredAlgebra) -> DgCategory:
         if deg_i != 0 or deg_j != 0:
             raise FiltError("projective generators live in degree zero")
         i, j, k = int(a), int(b), int(c)
-        qg, qf, qt = quots[(j, k)], quots[(i, j)], quots[(i, k)]
-        out = Matrix.zeros(field, qt.dim, qg.dim * qf.dim)
-        for gi in range(qg.dim):
-            gunit = [field.zero] * qg.dim
-            gunit[gi] = field.one
-            g_amb = qg.to_ambient(gunit)
-            for fi in range(qf.dim):
-                funit = [field.zero] * qf.dim
-                funit[fi] = field.one
-                prod = alg.mul_vec(g_amb, qf.to_ambient(funit))
-                for r, v in enumerate(qt.from_ambient(prod)):
-                    if not field.is_zero(v):
-                        out.set(r, gi * qf.dim + fi, v)
-        return out
+        return quots[(i, k)].from_ambient(mul_kron(
+            alg.table, quots[(j, k)].ambient, quots[(i, j)].ambient))
 
-    ids = {str(i): tuple(quots[(i, i)].from_ambient(alg.unit)) for i in range(n)}
+    unit = Matrix.column(field, alg.unit)
+    ids = {str(i): quots[(i, i)].from_ambient(unit).columns()[0]
+           for i in range(n)}
     return DgCategory(field, objects, hom, comp_fn, ids)
 
 
@@ -551,7 +547,8 @@ class AuslanderAlgebra:
 
     Basis elements are triples (i, j, s) with s indexing the deterministic
     quotient basis of the block; multiplication is matrix multiplication
-    with products of representatives.
+    with products of representatives, stored as one structure-constant
+    `table` (column t1 * dim + t2 is the product of basis elements t1, t2).
     """
 
     def __init__(self, alg: FilteredAlgebra):
@@ -574,66 +571,59 @@ class AuslanderAlgebra:
     def unit_vec(self):
         field = self.field
         out = [field.zero] * self.dim
+        unit = Matrix.column(field, self.alg.unit)
         for i in range(self.n):
             q = self.blocks[(i, i)]
-            for s, v in enumerate(q.from_ambient(self.alg.unit)):
+            for s, v in enumerate(q.from_ambient(unit).columns()[0]):
                 out[self.index[(i, i, s)]] = v
         return tuple(out)
 
+    @cached_property
+    def table(self) -> Matrix:
+        """Block (i, j) times block (j, k) is the quotient image in block
+        (i, k) of M kron(A_ij, A_jk), placed by `add_bilinear_block`."""
+        dim, blocks = self.dim, self.blocks
+        off = {(i, j): self.index[(i, j, 0)] for (i, j) in blocks
+               if blocks[(i, j)].dim}
+        out = Matrix.zeros(self.field, dim, dim * dim)
+        for (i, j), qa in blocks.items():
+            for k in range(self.n):
+                qb, qt = blocks[(j, k)], blocks[(i, k)]
+                if not (qa.dim and qb.dim):
+                    continue
+                prod = qt.from_ambient(mul_kron(self.alg.table, qa.ambient,
+                                                qb.ambient))
+                if qt.dim:
+                    add_bilinear_block(out, prod, off[(i, k)], off[(i, j)],
+                                       off[(j, k)], qb.dim, dim)
+        return out
+
     def mul_basis(self, t1, t2):
         """Product of basis elements; (i,j,s) * (j',k,u) is zero unless j = j'."""
-        field = self.field
-        i, j, s = self.basis[t1]
-        j2, k, u = self.basis[t2]
-        out = [field.zero] * self.dim
-        if j != j2:
-            return tuple(out)
-        qa, qb = self.blocks[(i, j)], self.blocks[(j, k)]
-        ea = [field.zero] * qa.dim
-        ea[s] = field.one
-        eb = [field.zero] * qb.dim
-        eb[u] = field.one
-        prod = self.alg.mul_vec(qa.to_ambient(ea), qb.to_ambient(eb))
-        qt = self.blocks[(i, k)]
-        for r, v in enumerate(qt.from_ambient(prod)):
-            out[self.index[(i, k, r)]] = v
-        return tuple(out)
+        zero, col = self.field.zero, t1 * self.dim + t2
+        return tuple(row.get(col, zero) for row in self.table.rows)
 
     def validate(self, max_report: int = 10) -> list:
+        """Unit and associativity, as the identities T kron(1, I) = I =
+        T kron(I, 1) and T kron(T, I) = T kron(I, T) of the table T; only a
+        failing identity is walked column by column to name its violations."""
         bad = []
-        field = self.field
-        one = self.unit_vec()
-
-        def mul_vec(u, v):
-            out = [field.zero] * self.dim
-            for t1, a in enumerate(u):
-                if field.is_zero(a):
-                    continue
-                for t2, b in enumerate(v):
-                    if field.is_zero(b):
-                        continue
-                    c = field.mul(a, b)
-                    for r, w in enumerate(self.mul_basis(t1, t2)):
-                        if not field.is_zero(w):
-                            out[r] = field.add(out[r], field.mul(c, w))
-            return tuple(out)
-
-        for t in range(self.dim):
-            e = [field.zero] * self.dim
-            e[t] = field.one
-            if mul_vec(one, e) != tuple(e) or mul_vec(e, one) != tuple(e):
-                bad.append(f"unit fails on basis {self.basis[t]}")
-        for t1 in range(self.dim):
-            for t2 in range(self.dim):
-                p12 = self.mul_basis(t1, t2)
-                for t3 in range(self.dim):
-                    e3 = [self.field.zero] * self.dim
-                    e3[t3] = self.field.one
-                    lhs = mul_vec(p12, e3)
-                    rhs = mul_vec([self.field.one if t == t1 else self.field.zero
-                                   for t in range(self.dim)],
-                                  self.mul_basis(t2, t3))
-                    if lhs != rhs:
+        T, n = self.table, self.dim
+        one = Matrix.column(self.field, self.unit_vec())
+        eye = Matrix.identity(self.field, n)
+        left, right = mul_kron(T, one, n), mul_kron(T, n, one)
+        if left != eye or right != eye:
+            lcols, rcols = left.transpose().rows, right.transpose().rows
+            bad = [f"unit fails on basis {self.basis[t]}" for t in range(n)
+                   if lcols[t] != eye.rows[t] or rcols[t] != eye.rows[t]]
+        lhs, rhs = mul_kron(T, T, n), mul_kron(T, n, T)
+        if lhs == rhs:
+            return bad
+        lcols, rcols = lhs.transpose().rows, rhs.transpose().rows
+        for t1 in range(n):
+            for t2 in range(n):
+                for t3 in range(n):
+                    if lcols[(t1 * n + t2) * n + t3] != rcols[(t1 * n + t2) * n + t3]:
                         bad.append(f"associativity fails at "
                                    f"{self.basis[t1]},{self.basis[t2]},{self.basis[t3]}")
                         if len(bad) >= max_report:
@@ -769,8 +759,8 @@ def end_algebra_iso_auslander(alg: FilteredAlgebra, max_report: int = 10) -> lis
                         bf = aus.blocks[(j, i)]
                         g_amb = bg.to_ambient(ev_of(j, k, mats_g))
                         f_amb = bf.to_ambient(ev_of(i, j, mats_f))
-                        prod = alg.mul_vec(g_amb, f_amb)
-                        rhs = tuple(aus.blocks[(k, i)].from_ambient(prod))
+                        prod = Matrix.column(field, alg.mul_vec(g_amb, f_amb))
+                        rhs = aus.blocks[(k, i)].from_ambient(prod).columns()[0]
                         if lhs != rhs:
                             bad.append(f"multiplication tables differ at "
                                        f"({i},{j},{k})")
@@ -932,22 +922,12 @@ def free_hom_map(alg: FilteredAlgebra, a: int, b: int, coords):
     `coords` lives in the quotient F^{b-a} / F^{b-n}; the component at
     degree -c sends a class [g] to [f g].
     """
-    field = alg.field
     n = alg.length
-    f_amb = alg.quot(b - a, b - n).to_ambient(coords)
+    f_amb = Matrix.column(alg.field, alg.quot(b - a, b - n).to_ambient(coords))
     out = []
     for c in range(n):
-        qs = alg.quot(a - c, a - n)
-        qt = alg.quot(b - c, b - n)
-        m = Matrix.zeros(field, qt.dim, qs.dim)
-        for col in range(qs.dim):
-            unit = [field.zero] * qs.dim
-            unit[col] = field.one
-            prod = alg.mul_vec(f_amb, qs.to_ambient(unit))
-            for r, v in enumerate(qt.from_ambient(prod)):
-                if not field.is_zero(v):
-                    m.set(r, col, v)
-        out.append(m)
+        prods = mul_kron(alg.table, f_amb, alg.quot(a - c, a - n).ambient)
+        out.append(alg.quot(b - c, b - n).from_ambient(prods))
     return out
 
 
@@ -1169,11 +1149,7 @@ def power_ideal(alg: FilteredAlgebra, gens: Matrix, d: int) -> Matrix:
         return Matrix.identity(field, alg.dim)
     cur = gens
     for _ in range(d - 1):
-        cols = []
-        for u in cur.columns():
-            for v in gens.columns():
-                cols.append(alg.mul_vec(u, v))
-        cur = _span(field, alg.dim, cols)
+        cur = _span(field, alg.dim, mul_kron(alg.table, cur, gens).columns())
     return cur
 
 
@@ -1186,14 +1162,7 @@ def _span(field, dim, vectors) -> Matrix:
 
 
 def is_ideal(alg: FilteredAlgebra, gens: Matrix) -> bool:
-    for i in range(alg.dim):
-        e = [alg.field.zero] * alg.dim
-        e[i] = alg.field.one
-        for v in gens.columns():
-            prod = alg.mul_vec(e, v)
-            if gens.solve(Matrix.column(alg.field, prod)) is None:
-                return False
-    return True
+    return gens.solve(mul_kron(alg.table, alg.dim, gens)) is not None
 
 
 def refine(alg: FilteredAlgebra, ideal: Matrix, d: int) -> FilteredAlgebra:
@@ -1211,14 +1180,8 @@ def refine(alg: FilteredAlgebra, ideal: Matrix, d: int) -> FilteredAlgebra:
         # G^{-k} = F^j I^r + F^{j-1} where -k = j d - r, j <= 0 <= r < d
         j = -(k // d)
         r = j * d + k
-        cols = []
-        fj = alg.fil(j)
-        for u in fj.columns():
-            for v in powers[r].columns():
-                cols.append(alg.mul_vec(u, v))
-        for u in alg.fil(j - 1).columns():
-            cols.append(tuple(u))
-        filtration.append(_span(field, alg.dim, cols))
+        cols = mul_kron(alg.table, alg.fil(j), powers[r]).columns()
+        filtration.append(_span(field, alg.dim, cols + alg.fil(j - 1).columns()))
     out = FilteredAlgebra(field, alg.dim, alg._mult, alg.unit, d * n,
                           filtration, alg.basis_names)
     return out
@@ -1269,21 +1232,13 @@ def refinement_functor(alg: FilteredAlgebra, refined: FilteredAlgebra,
         raise FiltError("refined algebra must have length d n")
     src = src_cat if src_cat is not None else proj_dgcat(alg)
     tgt = tgt_cat if tgt_cat is not None else proj_dgcat(refined)
-    field = alg.field
     obj_map = {str(i): str(d * i) for i in range(n)}
     hom_maps = {}
     for i in range(n):
         for j in range(n):
-            qs = alg.quot(j - i, j - n)
+            classes = alg.quot(j - i, j - n).ambient
             qt = refined.quot(d * j - d * i, d * j - d * n)
-            m = Matrix.zeros(field, qt.dim, qs.dim)
-            for c in range(qs.dim):
-                unit = [field.zero] * qs.dim
-                unit[c] = field.one
-                for r, v in enumerate(qt.from_ambient(qs.to_ambient(unit))):
-                    if not field.is_zero(v):
-                        m.set(r, c, v)
-            hom_maps[(str(i), str(j))] = {0: m}
+            hom_maps[(str(i), str(j))] = {0: qt.from_ambient(classes)}
     return DgFunctor(src, tgt, obj_map, hom_maps)
 
 
@@ -1292,24 +1247,15 @@ def base_change_functor(f: AlgebraMap, src_cat=None, tgt_cat=None) -> DgFunctor:
     if f.src.length != f.tgt.length:
         raise FiltError("base change needs equal lengths")
     n = f.src.length
-    field = f.src.field
     src = src_cat if src_cat is not None else proj_dgcat(f.src)
     tgt = tgt_cat if tgt_cat is not None else proj_dgcat(f.tgt)
     obj_map = {str(i): str(i) for i in range(n)}
     hom_maps = {}
     for i in range(n):
         for j in range(n):
-            qs = f.src.quot(j - i, j - n)
+            images = f.matrix @ f.src.quot(j - i, j - n).ambient
             qt = f.tgt.quot(j - i, j - n)
-            m = Matrix.zeros(field, qt.dim, qs.dim)
-            for c in range(qs.dim):
-                unit = [field.zero] * qs.dim
-                unit[c] = field.one
-                img = f.apply(qs.to_ambient(unit))
-                for r, v in enumerate(qt.from_ambient(img)):
-                    if not field.is_zero(v):
-                        m.set(r, c, v)
-            hom_maps[(str(i), str(j))] = {0: m}
+            hom_maps[(str(i), str(j))] = {0: qt.from_ambient(images)}
     return DgFunctor(src, tgt, obj_map, hom_maps)
 
 

@@ -16,7 +16,7 @@ from .complexes import GradedMap, is_quasi_iso
 from .dgcat import DgCategory, HomElt, add_bilinear_block
 from .hypercube import (DgCube, bimodule_cohomology, bimodule_cube,
                         interval_shape, punctured_shape, t_layout, totalize)
-from .linalg import Matrix, kron
+from .linalg import Matrix, mul_kron
 from .twisted import TwistedComplex, TwMorphism, tw_hom, _hom_layout, \
     tw_category
 
@@ -126,15 +126,15 @@ def gac(cube: DgCube) -> GacCategory:
                 if base is None:
                     continue
                 # push both factors to A_J and compose there:
-                # C_J(Pf a, Pf b, Pg c) @ kron(P_g, P_f)
+                # C_J(Pf a, Pf b, Pg c) kron(P_g, P_f)
                 push_g = cube.push_functor(Ig, J)
                 push_f = cube.push_functor(If, J)
                 xg, yg = _pair_objs(cube, lb, lc, Ig)
                 xf, yf = _pair_objs(cube, la, lb, If)
-                block = cube.vertices[J].comp_matrix(
+                block = mul_kron(cube.vertices[J].comp_matrix(
                     push_f.obj_map[xf], push_f.obj_map[yf], push_g.obj_map[yg],
-                    ag, af) @ kron(push_g.hom_matrix(xg, yg, ag),
-                                   push_f.hom_matrix(xf, yf, af))
+                    ag, af), push_g.hom_matrix(xg, yg, ag),
+                    push_f.hom_matrix(xf, yf, af))
                 # Koszul sign: g passes the X-word of f
                 word_f = frozenset(range(i, j + 1)) - If
                 if ag * len(word_f) % 2:

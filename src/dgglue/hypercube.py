@@ -18,8 +18,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import Complex, GradedMap, cone
-from .dgcat import (DgCategory, DgFunctor, compose_functors, functors_equal,
-                    identity_functor, validate_functor)
+from .dgcat import (DgCategory, DgFunctor, cats_equal, compose_functors,
+                    functors_equal, identity_functor, validate_functor)
 from .linalg import Matrix
 
 
@@ -368,9 +368,9 @@ class DgCube:
 
     def defect(self, deep: bool = False):
         for (I, l), e in self.edges.items():
-            if e.source is not self.vertices[I] or e.target is not self.vertices[I | {l}]:
-                if e.source != self.vertices[I]:
-                    return f"dg edge ({sorted(I)},{l}) endpoints mismatch"
+            if not (cats_equal(e.source, self.vertices[I])
+                    and cats_equal(e.target, self.vertices[I | {l}])):
+                return f"dg edge ({sorted(I)},{l}) endpoints mismatch"
             if deep:
                 bad = validate_functor(e)
                 if bad:
@@ -513,7 +513,6 @@ def reassemble_dg(cube0: DgCube, cube1: DgCube, comps: dict,
 
 
 def dg_faces_equal(x: DgCube, y: DgCube) -> bool:
-    from .dgcat import cats_equal
     if x.top != y.top:
         return False
     for I in full_shape(x.top):

@@ -384,6 +384,50 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, a.nrows * b.nrows, a.ncols * b.ncols, rows)
 
 
+def mul_kron(c: Matrix, x, y) -> Matrix:
+    """c @ kron(x, y), without building the Kronecker product.
+
+    Column h * m + f of c (m the row count of y) meets row h of x and row f
+    of y, so an entry v there adds v x[h, r] y[f, q] to column r * yc + q.
+    `x` or `y` may be an int n standing for the n x n identity, which then
+    costs index arithmetic only.
+    """
+    x_eye, y_eye = isinstance(x, int), isinstance(y, int)
+    xr, xc = (x, x) if x_eye else x.shape
+    m, yc = (y, y) if y_eye else y.shape
+    if c.ncols != xr * m:
+        raise LinAlgError(f"shape mismatch {c.shape} @ kron({xr}x{xc}, {m}x{yc})")
+    if x_eye and y_eye:
+        return Matrix(c.field, c.nrows, c.ncols, [dict(row) for row in c.rows])
+    p = c.field.modulus
+    xrows = None if x_eye else x.rows
+    yrows = None if y_eye else y.rows
+    out = []
+    for crow in c.rows:
+        acc = {}
+        for k, v in crow.items():
+            h, f = divmod(k, m)
+            if y_eye:
+                for r, a in xrows[h].items():
+                    j = r * yc + f
+                    acc[j] = acc.get(j, 0) + a * v
+            elif x_eye:
+                base = h * yc
+                for q, w in yrows[f].items():
+                    acc[base + q] = acc.get(base + q, 0) + v * w
+            else:
+                yrow = yrows[f].items()
+                for r, a in xrows[h].items():
+                    av, base = a * v, r * yc
+                    for q, w in yrow:
+                        acc[base + q] = acc.get(base + q, 0) + av * w
+        if p is None:
+            out.append({j: v for j, v in acc.items() if v})
+        else:
+            out.append({j: w for j, v in acc.items() if (w := v % p)})
+    return Matrix(c.field, c.nrows, xc * yc, out)
+
+
 def quotient_maps(field, ambient_dim: int, subspace: Matrix):
     """Projection/section pair for the quotient k^ambient / col(subspace).
 

@@ -196,6 +196,11 @@ def _with_dependent_columns(alg, rnd):
                            alg.length, filtration, alg.basis_names)
 
 
+def _fil_coords_of_vector(alg, s, v):
+    """`fil_coords` on the one-column matrix of v, as a coordinate tuple."""
+    return alg.fil_coords(s, Matrix.column(alg.field, v)).columns()[0]
+
+
 @FIELDS
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), dependent=st.booleans())
@@ -211,5 +216,14 @@ def test_fil_coords_matches_reference(field, seed, dependent):
                 tuple(random_scalar(field, rnd) for _ in range(n)),
                 *alg.fil(s + 1).columns(), (field.one,) * (n + 1)]
         for v in vecs:
-            assert _outcome(alg.fil_coords, s, v) == \
+            assert _outcome(_fil_coords_of_vector, alg, s, v) == \
                 _outcome(ref.fil_coords, alg, s, v)
+        # all columns at once: the coordinates of each, or the first error
+        block = Matrix.hstack([Matrix.column(field, v) for v in vecs[:-1]])
+        expect = [_outcome(ref.fil_coords, alg, s, v) for v in vecs[:-1]]
+        got = _outcome(alg.fil_coords, s, block)
+        if all(kind == "ok" for kind, _ in expect):
+            assert got == ("ok", Matrix.hstack(
+                [Matrix.column(field, c) for _, c in expect]))
+        else:
+            assert got == next(e for e in expect if e[0] != "ok")

@@ -101,10 +101,11 @@ PINNED_REPORTS = [
      ("source=0:0", "target=1:0"), 0),
     ("hom-iso", "refinement_square.json",
      "45019fa61fd1473983277a51ca12fe2185e9e260b88da754204b71eb79487752", (), 0),
-    # names no entity of the document: the error report, exit 1
+    # the axioms of the cube's Gac (an error report, exit 1, before `validate`
+    # read the gac: prefix)
     ("validate", "refinement_square.json",
-     "8963978b112c3d2271eb6cdc9e6486f2e4b6f0450a593a405fbe13447c4bac78",
-     ("target=gac:square",), 1),
+     "3bef4691915e1006506a3bd969e84e0e3f4508f32dd553914e63d58e41f609df",
+     ("target=gac:square",), 0),
     ("glue", "glue_square",
      "43723a85e83401c0bab2c4cca09a39d9077cc278c0b803989a7a77d42ad71808",
      ("objects=t0,t1,t2",), 0),
@@ -593,6 +594,83 @@ def test_auslander_of_non_unital_algebra_exits_1(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep == {"command": "auslander", "error":
                    "algebra is not a filtered algebra: unit fails on basis 0"}
+
+
+@pytest.mark.parametrize("command", ["validate", "auslander", "proj-dgcat",
+                                     "refine"])
+def test_product_with_extra_coordinates_exits_1(tmp_path, capsys, command):
+    # was an internal error (exit 2): an IndexError in the product loop
+    from dgglue import cli
+    doc = json.loads((DOCS / "dual_numbers.json").read_text())
+    doc["filtered_algebras"]["dual"]["mult"]["0,1"] = ["0", "1", "1"]
+    doc["params"].update(target="dual", d=2, ideal=[["0", "1"]])
+    p = tmp_path / "long_product.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main([command, "--in", str(p)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == \
+        "product (0,1) has more than 2 coordinates"
+
+
+@pytest.mark.parametrize("unit", [["1"], ["1", "0", "0"]], ids=["short", "long"])
+def test_validate_unit_of_wrong_length(tmp_path, capsys, unit):
+    from dgglue import cli
+    doc = json.loads((DOCS / "dual_numbers.json").read_text())
+    doc["filtered_algebras"]["dual"]["unit"] = unit
+    p = tmp_path / "bad_unit.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--in", str(p), "--param", "target=dual"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] is False
+    assert rep["violations"] == ["unit has wrong length"]
+
+
+def _square_with(edit):
+    doc = json.loads((DOCS / "refinement_square.json").read_text())
+    edit(doc)
+    return doc
+
+
+def _corrupt_cat_0(doc):
+    doc["categories"]["cat_0"]["comp"]["0|0|0"]["0,0"][1][1] = "2"
+
+
+def _retarget_edge_o_0(entry):
+    def edit(doc):
+        cat_0b = json.loads(json.dumps(doc["categories"]["cat_0"]))
+        cat_0b["comp"]["0|0|0"]["0,0"][0][0] = entry
+        doc["categories"]["cat_0b"] = cat_0b
+        doc["functors"]["edge_o_0"]["target"] = "cat_0b"
+    return edit
+
+
+def test_validate_gac_reports_violations(tmp_path, capsys):
+    from dgglue import cli
+    p = tmp_path / "corrupt.json"
+    p.write_text(json.dumps(_square_with(_corrupt_cat_0)))
+    assert cli.main(["validate", "--in", str(p),
+                     "--param", "target=gac:square"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["kind"] == "gac" and rep["verdict"] is False
+    assert "left unit fails on hom('0:0','0:0') deg 0" in rep["violations"]
+    assert cli.main(["validate", "--in", str(p), "--param", "target=gac:square",
+                     "--max-dim", "1"]) == 1
+    assert "exceeds --max-dim 1" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("entry, code", [("1", 0), ("2", 1)],
+                         ids=["equal-target", "other-target"])
+def test_dg_cube_checks_edge_target(tmp_path, capsys, entry, code):
+    # an edge whose target is a copy of the vertex: accepted when the copy
+    # has equal tables, an endpoint mismatch when one entry differs
+    from dgglue import cli
+    p = tmp_path / "retargeted.json"
+    p.write_text(json.dumps(_square_with(_retarget_edge_o_0(entry))))
+    assert cli.main(["check-acyclic", "--in", str(p)]) == code
+    rep = json.loads(capsys.readouterr().out)
+    if code:
+        assert rep["error"] == "dg edge ([],0) endpoints mismatch"
+    else:
+        assert rep["verdict"] is True
 
 
 @pytest.mark.parametrize("p, code", [

@@ -136,10 +136,12 @@ def test_malformed_repeat_exits_1(tmp_path, which, section):
     (_rewired_doc, ["stack", "--param", "first=square",
                     "--param", "second=square2"], 0,
      "5e1831f4de5460d3c87b8c7aff432b1f8f8fad3cf891907e5451d5be2c13e23a"),
-    # the faces are equal, but an edge's endpoint is another vertex object
+    # the faces are equal, and an edge's endpoint is another vertex object
+    # of equal tables: the cube is accepted (it was rejected, exit 1, while
+    # endpoints were compared by identity)
     (_rewired_doc, ["extend", "--param", "first=square",
-                    "--param", "second=square2"], 1,
-     "bddd1c2767a4e986335933b0dd1448124f6e8a60bcab6b681525a423ca91b8c6"),
+                    "--param", "second=square2"], 0,
+     "6b511ef6bed3c6eab11ecf4c2ef8a96b7756181d5c0c9eaa7021d8658bb38891"),
     (_rewired_doc, ["check-qff", "--param", "cube=square", "--parallel", "2"],
      0, "ada2313b200202772ff4f0d115d11a8f73afb647deb89348d548c8bde00aaf87"),
     (_ladder_doc, ["check-qff", "--param", "cube=cube3", "--parallel", "2"],
