@@ -365,11 +365,21 @@ def induced_cohomology_map(f: GradedMap, k: int) -> Matrix:
     return proj_t @ coords
 
 
-def is_quasi_iso(f: GradedMap) -> bool:
-    """True iff the closed degree-zero map f induces isomorphisms on H^*."""
-    lo = min(f.source.lo, f.target.lo) - 1
-    hi = max(f.source.hi, f.target.hi) + 1
-    for k in range(lo, hi + 1):
+def is_quasi_iso(f: GradedMap, h_src: dict = None, h_tgt: dict = None) -> bool:
+    """True iff the closed degree-zero map f induces isomorphisms on H^*.
+
+    `h_src` and `h_tgt` are the cohomology tables of f's source and target,
+    computed here when not given.  Unequal tables rule an isomorphism out,
+    and a degree where both sides vanish needs no induced map, so H^k(f) is
+    built only for the degrees k of `h_src`.
+    """
+    if h_src is None:
+        h_src = f.source.cohomology()
+    if h_tgt is None:
+        h_tgt = f.target.cohomology()
+    if h_src != h_tgt:
+        return False
+    for k in h_src:
         m = induced_cohomology_map(f, k)
         if m.nrows != m.ncols or m.rank() != m.nrows:
             return False

@@ -11,6 +11,7 @@ that flattening by `add_bilinear_block` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable
 
@@ -337,6 +338,24 @@ class DgFunctor:
         return HomElt(self.obj_map[f.src], self.obj_map[f.tgt], f.degree,
                       m.apply(f.vec))
 
+    @cached_property
+    def is_identity(self) -> bool:
+        """Whether this is the identity functor of its source, checked row by
+        row without building identity matrices."""
+        if self.target is not self.source or \
+                any(self.obj_map[a] != a for a in self.source.objects):
+            return False
+        one = self.source.field.one
+        for a in self.source.objects:
+            for b in self.source.objects:
+                for k in self.source.hom(a, b).degrees():
+                    m = self.hom_matrix(a, b, k)
+                    if m.nrows != m.ncols or any(
+                            len(row) != 1 or row.get(i) != one
+                            for i, row in enumerate(m.rows)):
+                        return False
+        return True
+
 
 def identity_functor(cat: DgCategory) -> DgFunctor:
     maps = {}
@@ -349,8 +368,12 @@ def identity_functor(cat: DgCategory) -> DgFunctor:
 
 
 def compose_functors(g: DgFunctor, f: DgFunctor) -> DgFunctor:
-    """g after f."""
+    """g after f.  An identity factor composes without products: the result
+    is a new functor sharing the other factor's matrices."""
     obj_map = {a: g.obj_map[f.obj_map[a]] for a in f.source.objects}
+    if g.source is f.target and (f.is_identity or g.is_identity):
+        return DgFunctor(f.source, g.target, obj_map,
+                         (g if f.is_identity else f).hom_maps)
     maps = {}
     for a in f.source.objects:
         for b in f.source.objects:

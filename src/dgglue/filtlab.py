@@ -200,7 +200,7 @@ def validate_filtration(alg: FilteredAlgebra, max_report: int = 20) -> list:
                         report(f"associativity fails at ({i},{j},{k})")
     if alg.fil(0).ncols != alg.dim or alg.fil(0).rank() != alg.dim:
         report("F^0 is not the whole algebra")
-    if alg.fil(-alg.length).ncols != 0:
+    if not alg.filtration[alg.length].is_zero():
         report(f"F^{-alg.length} is not zero")
     for k in range(alg.length):
         big, small = alg.fil(-k), alg.fil(-k - 1)

@@ -250,8 +250,9 @@ def pair_result(kind: str, cube: DgCube, a, b, g: GacCategory = None):
     cm = pi_comparison_map(g, a, b)
     if not cm.is_closed():
         raise InternalError("pi comparison map is not closed")
-    return {"source": cm.source.cohomology(), "glue": cm.target.cohomology(),
-            "isomorphism": is_quasi_iso(cm)}
+    h_src, h_glue = cm.source.cohomology(), cm.target.cohomology()
+    return {"source": h_src, "glue": h_glue,
+            "isomorphism": is_quasi_iso(cm, h_src, h_glue)}
 
 
 def check_qff(cube: DgCube):

@@ -596,6 +596,24 @@ def test_auslander_of_non_unital_algebra_exits_1(tmp_path, capsys):
                    "algebra is not a filtered algebra: unit fails on basis 0"}
 
 
+def test_nonzero_last_filtration_level_is_a_violation(tmp_path, capsys):
+    # F^{-length} must be zero; the stored level is checked, not the zero
+    # matrix that `fil` returns for every s <= -length
+    from dgglue import cli
+    doc = json.loads((DOCS / "dual_numbers.json").read_text())
+    doc["filtered_algebras"]["dual"]["filtration"]["2"] = [["0"], ["1"]]
+    p = tmp_path / "last_level.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--in", str(p), "--param",
+                     "target=dual"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] is False and rep["violations"] == \
+        ["F^-2 is not zero"]
+    assert cli.main(["auslander", "--in", str(p)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == \
+        "algebra is not a filtered algebra: F^-2 is not zero"
+
+
 @pytest.mark.parametrize("command", ["validate", "auslander", "proj-dgcat",
                                      "refine"])
 def test_product_with_extra_coordinates_exits_1(tmp_path, capsys, command):
