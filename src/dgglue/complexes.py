@@ -163,9 +163,7 @@ class GradedMap:
         if not isinstance(other, GradedMap):
             return NotImplemented
         if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):
-            if self.source != other.source or self.target != other.target or \
-                    self.degree != other.degree:
-                return False
+            return False
         keys = set(self.comps) | set(other.comps)
         return all(self.comp(k) == other.comp(k) for k in keys)
 

@@ -400,10 +400,17 @@ def algebra_map_in(field, data, src: FilteredAlgebra,
 def twisted_in(field, data, cat: DgCategory) -> TwistedComplex:
     terms = []
     for term in _get(data, "terms", list):
-        if isinstance(term, dict):
-            terms.append((term["obj"], _int(term.get("shift", 0))))
+        if isinstance(term, dict) and "obj" in term:
+            obj, shift = term["obj"], term.get("shift", 0)
+        elif isinstance(term, list) and len(term) == 2:
+            obj, shift = term
         else:
-            terms.append((term[0], _int(term[1])))
+            raise DocumentError('a twisted-complex term must be [name, shift] '
+                                f'or {{"obj": name, "shift": shift}}, not {term!r}')
+        if not isinstance(obj, str) or obj not in cat.objects:
+            raise DocumentError(f"twisted-complex term {term!r} names no "
+                                f"object of its category")
+        terms.append((obj, _int(shift)))
     delta = {}
     for key, vec in _items(data, "delta", list, {}):
         i, j = _ints(key, 2)

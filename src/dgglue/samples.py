@@ -621,8 +621,7 @@ def random_glue_prime_object(cat, block_of, n, rnd):
                     mu[(i, j)] = entry
             else:
                 flat = [v for row in sol.to_lists() for v in row]
-                assert len(flat) == tw_hom(comps[i], comps[j]).dim(i - j + 1), \
-                    (len(flat), sol.shape, tw_hom(comps[i], comps[j]).dims)
+                assert len(flat) == h.dim(i - j + 1), (len(flat), sol.shape, h.dims)
                 entry = vec_to_tw_morphism(comps[i], comps[j], i - j + 1, flat)
                 if not entry.is_zero():
                     mu[(i, j)] = entry
@@ -631,30 +630,27 @@ def random_glue_prime_object(cat, block_of, n, rnd):
 
 def random_closed_gp_morphism(rnd, gp1, gp2, degree: int = 0):
     from .twisted import glue_prime_hom, vec_to_gp_morphism
-    field = gp1.cat.field
-    h = glue_prime_hom(gp1, gp2)
-    basis = h.cocycles(degree)
-    vec = [field.zero] * h.dim(degree)
-    for col in basis.columns():
-        s = random_scalar(field, rnd)
-        if field.is_zero(s):
-            continue
-        vec = [field.add(a, field.mul(s, b)) for a, b in zip(vec, col)]
-    return vec_to_gp_morphism(gp1, gp2, degree, vec)
+    return vec_to_gp_morphism(gp1, gp2, degree, random_cocycle(
+        rnd, glue_prime_hom(gp1, gp2), degree))
 
 
 def random_closed_tw_morphism(rnd, t1: TwistedComplex, t2: TwistedComplex,
                               degree: int = 0) -> TwMorphism:
-    field = t1.cat.field
-    h = tw_hom(t1, t2)
-    basis = h.cocycles(degree)
+    return vec_to_tw_morphism(t1, t2, degree,
+                              random_cocycle(rnd, tw_hom(t1, t2), degree))
+
+
+def random_cocycle(rnd, h: Complex, degree: int) -> list:
+    """A random combination of the cocycle basis of h at `degree`: one scalar
+    drawn per basis vector."""
+    field = h.field
     vec = [field.zero] * h.dim(degree)
-    for col in basis.columns():
+    for col in h.cocycles(degree).columns():
         s = random_scalar(field, rnd)
         if field.is_zero(s):
             continue
         vec = [field.add(a, field.mul(s, b)) for a, b in zip(vec, col)]
-    return vec_to_tw_morphism(t1, t2, degree, vec)
+    return vec
 
 
 def random_twisted_complex(cat: DgCategory, rnd, depth: int = 2,

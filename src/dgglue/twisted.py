@@ -78,14 +78,10 @@ class TwistedComplex:
         """Shift by s: bump term shifts, scale delta by (-1)^s."""
         field = self.cat.field
         sgn = field.one if s % 2 == 0 else field.neg(field.one)
-        terms = [(obj, k + s) for obj, k in self.terms]
-        delta = {key: elt_scale(field, sgn, elt) for key, elt in self.delta.items()}
-        out = TwistedComplex.__new__(TwistedComplex)
-        out.cat = self.cat
-        out.terms = tuple(terms)
-        out.delta = {k: HomElt(v.src, v.tgt, v.degree, v.vec)
-                     for k, v in delta.items() if not v.is_zero(field)}
-        return out
+        return TwistedComplex(
+            self.cat, [(obj, k + s) for obj, k in self.terms],
+            {key: elt_scale(field, sgn, elt) for key, elt in self.delta.items()},
+            validate=False)
 
     def __repr__(self):
         return f"TwistedComplex({list(self.terms)})"
@@ -365,6 +361,14 @@ class GluePrimeObject:
     family satisfies (-1)^{n-1-j} d mu_ij + sum_k mu_kj mu_ik = 0.  Note the
     source-first indexing here, opposite to the target-first matrix indexing
     of TwMorphism entries; the translation happens at this boundary only.
+
+    The object is also one twisted complex over `cat`, its convolution
+    (Bondal-Kapranov), kept as `total`: the terms of M_{n-1}, ..., M_0 in
+    that order, component i shifted by n-1-i and starting at `offset[i]`,
+    with entry (q, p) of mu_ij at delta key (offset[j] + q, offset[i] + p);
+    `term_of[r]` is the (block, index) of total term r.  The mu relation is
+    the Maurer-Cartan equation of `total`, and every glue-prime operation
+    below is the twisted one on totals.
     """
 
     def __init__(self, cat: DgCategory, block_of: dict, n: int, comps, mu: dict,
@@ -377,8 +381,9 @@ class GluePrimeObject:
             raise TwError("need one component per block")
         for i, m in enumerate(self.comps):
             for obj, _ in m.terms:
-                if block_of[obj] != i:
-                    raise TwError(f"component {i} has a term outside block {i}")
+                if block_of.get(obj) != i:
+                    raise TwError(f"component {i} has a term {obj!r} outside "
+                                  f"block {i}")
         self.mu = {}
         for (i, j), f in mu.items():
             if not (0 <= i < j < n):
@@ -387,6 +392,19 @@ class GluePrimeObject:
                 raise TwError(f"mu[{i},{j}] must have degree {i - j + 1}")
             if not f.is_zero():
                 self.mu[(i, j)] = f
+        terms, delta = [], {}
+        self.offset = [0] * n
+        self.term_of = []
+        for i in reversed(range(n)):
+            m = self.comps[i].shift(n - 1 - i)
+            self.offset[i] = off = len(terms)
+            terms.extend(m.terms)
+            self.term_of.extend((i, p) for p in range(len(m.terms)))
+            delta.update({(off + a, off + b): e for (a, b), e in m.delta.items()})
+        for (i, j), f in self.mu.items():
+            delta.update({(self.offset[j] + q, self.offset[i] + p): e
+                          for (q, p), e in f.entries.items()})
+        self.total = TwistedComplex(cat, terms, delta, validate=False)
         if validate:
             bad = self.mu_defect()
             if bad is not None:
@@ -399,27 +417,19 @@ class GluePrimeObject:
         return TwMorphism(self.comps[i], self.comps[j], i - j + 1, {})
 
     def mu_defect(self):
-        """First (i, j) where (-1)^{n-1-j} d mu_ij + sum_k mu_kj mu_ik != 0."""
-        field = self.cat.field
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                sgn = field.one if (self.n - 1 - j) % 2 == 0 else field.neg(field.one)
-                acc = tw_scale(sgn, tw_d(self.mu_elt(i, j)))
-                for k in range(i + 1, j):
-                    acc = tw_add(acc, tw_compose(self.mu_elt(k, j), self.mu_elt(i, k)))
-                if not acc.is_zero():
-                    return (i, j)
-        return None
+        """A block pair (i, j) where the mu relation fails, or None."""
+        bad = self.total.maurer_cartan_defect()
+        if bad is None:
+            return None
+        return (self.term_of[bad[1]][0], self.term_of[bad[0]][0])
 
     def shift(self) -> "GluePrimeObject":
-        field = self.cat.field
+        """The shift by one: components M_i[1], and every mu_ij negated."""
         comps = [m.shift(1) for m in self.comps]
-        neg = field.neg(field.one)
-        mu = {}
-        for (i, j), f in self.mu.items():
-            mu[(i, j)] = TwMorphism(comps[i], comps[j], f.degree,
-                                    {k: elt_scale(field, neg, e)
-                                     for k, e in f.entries.items()})
+        neg = self.cat.field.neg(self.cat.field.one)
+        mu = {(i, j): tw_scale(neg, TwMorphism(comps[i], comps[j], f.degree,
+                                               f.entries))
+              for (i, j), f in self.mu.items()}
         return GluePrimeObject(self.cat, self.block_of, self.n, comps, mu)
 
 
@@ -443,126 +453,95 @@ class GpMorphism:
         return all(f.is_zero() for f in self.entries.values())
 
 
+def _gp_to_tw(f: GpMorphism) -> TwMorphism:
+    """f as a morphism of totals: entry (q, p) of f_ij at (offset[j] + q,
+    offset[i] + p)."""
+    ox, oy = f.src.offset, f.tgt.offset
+    return TwMorphism(f.src.total, f.tgt.total, f.degree,
+                      {(oy[j] + q, ox[i] + p): e
+                       for (i, j), fij in f.entries.items()
+                       for (q, p), e in fij.entries.items()})
+
+
+def _tw_to_gp(x: GluePrimeObject, y: GluePrimeObject,
+              f: TwMorphism) -> GpMorphism:
+    """A morphism x.total -> y.total split into its blocks M_i -> N_j.  The
+    twisted operations keep a morphism with only i <= j blocks so."""
+    blocks = {}
+    for (r, c), e in f.entries.items():
+        (j, q), (i, p) = y.term_of[r], x.term_of[c]
+        blocks.setdefault((i, j), {})[(q, p)] = e
+    return GpMorphism(x, y, f.degree,
+                      {(i, j): TwMorphism(x.comps[i], y.comps[j],
+                                          f.degree + i - j, es)
+                       for (i, j), es in blocks.items()})
+
+
 def gp_add(f: GpMorphism, g: GpMorphism) -> GpMorphism:
-    out = dict(f.entries)
-    for key, e in g.entries.items():
-        out[key] = tw_add(out[key], e) if key in out else e
-    out = {k: v for k, v in out.items() if not v.is_zero()}
-    return GpMorphism(f.src, f.tgt, f.degree, out)
+    return _tw_to_gp(f.src, f.tgt, tw_add(_gp_to_tw(f), _gp_to_tw(g)))
 
 
 def gp_scale(c, f: GpMorphism) -> GpMorphism:
-    return GpMorphism(f.src, f.tgt, f.degree,
-                      {k: tw_scale(c, v) for k, v in f.entries.items()})
+    return _tw_to_gp(f.src, f.tgt, tw_scale(c, _gp_to_tw(f)))
 
 
 def gp_compose(f: GpMorphism, g: GpMorphism) -> GpMorphism:
     """f after g: (f g)_{ij} = sum_k f_{kj} g_{ik}."""
-    out = {}
-    for (i, k), ge in g.entries.items():
-        for (k2, j), fe in f.entries.items():
-            if k2 != k:
-                continue
-            prod = tw_compose(fe, ge)
-            if prod.is_zero():
-                continue
-            key = (i, j)
-            out[key] = tw_add(out[key], prod) if key in out else prod
-    return GpMorphism(g.src, f.tgt, f.degree + g.degree,
-                      {k: v for k, v in out.items() if not v.is_zero()})
+    return _tw_to_gp(g.src, f.tgt, tw_compose(_gp_to_tw(f), _gp_to_tw(g)))
 
 
 def gp_identity(x: GluePrimeObject) -> GpMorphism:
-    return GpMorphism(x, x, 0,
-                      {(i, i): tw_identity(x.comps[i]) for i in range(x.n)})
+    return _tw_to_gp(x, x, tw_identity(x.total))
 
 
 def gp_d(f: GpMorphism) -> GpMorphism:
     """(d f)_{ij} = (-1)^{n-1-j} d f_ij + sum_k (nu_kj f_ik - (-1)^{|f|} f_kj mu_ik)."""
-    field = f.src.cat.field
-    n = f.src.n
-    out = {}
+    return _tw_to_gp(f.src, f.tgt, tw_d(_gp_to_tw(f)))
 
-    def acc(key, tw):
-        if tw.is_zero():
-            return
-        out[key] = tw_add(out[key], tw) if key in out else tw
 
-    fsgn = field.one if f.degree % 2 == 0 else field.neg(field.one)
-    for i in range(n):
-        for j in range(i, n):
-            sgn = field.one if (n - 1 - j) % 2 == 0 else field.neg(field.one)
-            term = tw_scale(sgn, tw_d(f.entry(i, j)))
-            acc((i, j), term)
-    for (i, k), fe in f.entries.items():
-        for j in range(k + 1, n):
-            nu = f.tgt.mu.get((k, j))
-            if nu is not None:
-                acc((i, j), tw_compose(nu, fe))
-    for (k, j), fe in f.entries.items():
-        for i in range(k):
-            mu = f.src.mu.get((i, k))
-            if mu is not None:
-                acc((i, j), tw_scale(field.neg(fsgn), tw_compose(fe, mu)))
-    return GpMorphism(f.src, f.tgt, f.degree + 1,
-                      {k: v for k, v in out.items() if not v.is_zero()})
+def _gp_coords(x: GluePrimeObject, y: GluePrimeObject, m: int):
+    """The coordinates of glue-prime hom degree m inside tw_hom(x.total,
+    y.total)^m, ordered by block (i, j) and then as in tw_hom(M_i, N_j);
+    and the dimension of the latter."""
+    blocks, size = [], 0
+    for (r, c), _, d, off in _hom_layout(x.total, y.total, m):
+        (j, q), (i, p) = y.term_of[r], x.term_of[c]
+        if i <= j:
+            blocks.append(((i, j, q, p), off, d))
+        size += d
+    blocks.sort()
+    return [k for _, off, d in blocks for k in range(off, off + d)], size
 
 
 def glue_prime_hom(x: GluePrimeObject, y: GluePrimeObject) -> Complex:
-    """Hom complex of the explicit-cone gluing: blocks tw-hom(M_i, N_j)[i-j]."""
+    """Hom complex of the explicit-cone gluing: blocks tw-hom(M_i, N_j)[i-j]
+    for i <= j.  They span a subcomplex of tw_hom(x.total, y.total), since d
+    never maps into an i > j block (in a directed ambient those are zero)."""
     field = x.cat.field
-    pairs = [(i, j) for i in range(x.n) for j in range(y.n) if i <= j]
-    homs = {(i, j): tw_hom(x.comps[i], y.comps[j]) for i, j in pairs}
-    degrees = set()
-    for (i, j), h in homs.items():
-        for m in h.degrees():
-            degrees.add(m - i + j)
-    dims = {}
-    for m in sorted(degrees):
-        dims[m] = sum(homs[(i, j)].dim(m + i - j) for i, j in pairs)
+    total = tw_hom(x.total, y.total)
+    coords = {m: _gp_coords(x, y, m)[0] for m in total.degrees()}
     diffs = {}
-    for m in sorted(degrees):
-        if not dims.get(m) or not dims.get(m + 1):
-            continue
-        src_dims = [homs[p].dim(m + p[0] - p[1]) for p in pairs]
-        tgt_dims = [homs[p].dim(m + 1 + p[0] - p[1]) for p in pairs]
-        cols = []
-        for bi, (i, j) in enumerate(pairs):
-            d = src_dims[bi]
-            for ci in range(d):
-                vec = [field.zero] * d
-                vec[ci] = field.one
-                fm = vec_to_tw_morphism(x.comps[i], y.comps[j], m + i - j, vec)
-                gp = GpMorphism(x, y, m, {(i, j): fm})
-                dgp = gp_d(gp)
-                col = []
-                for (i2, j2) in pairs:
-                    col.extend(tw_morphism_to_vec(dgp.entry(i2, j2)))
-                cols.append(col)
-        mat = Matrix.zeros(field, sum(tgt_dims), len(cols))
-        for ci, col in enumerate(cols):
-            for r, v in enumerate(col):
-                if not field.is_zero(v):
-                    mat.set(r, ci, v)
-        diffs[m] = mat
-    return Complex(field, dims, diffs, validate=False)
+    for m, cols in coords.items():
+        rows = coords.get(m + 1)
+        if cols and rows:
+            pos = {c: k for k, c in enumerate(cols)}
+            d = total.d(m).rows
+            diffs[m] = Matrix(field, len(rows), len(cols),
+                              [{pos[c]: v for c, v in d[r].items() if c in pos}
+                               for r in rows])
+    return Complex(field, {m: len(c) for m, c in coords.items()}, diffs,
+                   validate=False)
 
 
 def vec_to_gp_morphism(x: GluePrimeObject, y: GluePrimeObject, degree: int,
                        vec) -> GpMorphism:
-    field = x.cat.field
-    pairs = [(i, j) for i in range(x.n) for j in range(y.n) if i <= j]
-    entries = {}
-    off = 0
-    for i, j in pairs:
-        h = tw_hom(x.comps[i], y.comps[j])
-        d = h.dim(degree + i - j)
-        chunk = vec[off:off + d]
-        off += d
-        fm = vec_to_tw_morphism(x.comps[i], y.comps[j], degree + i - j, chunk)
-        if not fm.is_zero():
-            entries[(i, j)] = fm
-    return GpMorphism(x, y, degree, entries)
+    coords, size = _gp_coords(x, y, degree)
+    if len(vec) != len(coords):
+        raise TwError("vector length does not match glue-prime hom layout")
+    full = [x.cat.field.zero] * size
+    for k, v in zip(coords, vec):
+        full[k] = v
+    return _tw_to_gp(x, y, vec_to_tw_morphism(x.total, y.total, degree, full))
 
 
 @dataclass
@@ -593,61 +572,43 @@ def glue_prime_cone(f: GpMorphism) -> GluePrimeCone:
     if not gp_d(f).is_zero():
         raise TwError("glue-prime cone needs a closed morphism")
     x, y = f.src, f.tgt
-    cat, field = x.cat, x.cat.field
-    n = x.n
-    cones = []
-    i_maps, p_maps, j_maps, s_maps = {}, {}, {}, {}
-    eps_maps, eps_inv_maps = {}, {}
-    for k in range(n):
-        sgn = field.one if (n - 1 - k) % 2 == 0 else field.neg(field.one)
-        g = tw_scale(sgn, f.entry(k, k))
-        if not tw_is_closed(g):
-            raise TwError(f"diagonal component {k} is not closed")
-        C = cone_tw(g)
-        cones.append(C)
-        mk = x.comps[k]
-        mk1 = mk.shift(1)
-        nk = y.comps[k]
-        nt = len(nk.terms)
-        j_maps[k] = TwMorphism(nk, C, 0, {(q, q): cat.id_elt(nk.terms[q][0])
-                                          for q in range(nt)})
-        s_maps[k] = TwMorphism(C, nk, 0, {(q, q): cat.id_elt(nk.terms[q][0])
-                                          for q in range(nt)})
-        i_maps[k] = TwMorphism(mk1, C, 0, {(nt + r, r): cat.id_elt(mk.terms[r][0])
-                                           for r in range(len(mk.terms))})
-        p_maps[k] = TwMorphism(C, mk1, 0, {(r, nt + r): cat.id_elt(mk.terms[r][0])
-                                           for r in range(len(mk.terms))})
-        eps_maps[k] = TwMorphism(mk1, mk, 1, {(r, r): cat.id_elt(mk.terms[r][0])
-                                              for r in range(len(mk.terms))})
-        eps_inv_maps[k] = TwMorphism(mk, mk1, -1, {(r, r): cat.id_elt(mk.terms[r][0])
-                                                   for r in range(len(mk.terms))})
-    gamma = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            t1 = tw_compose(i_maps[j], tw_compose(eps_inv_maps[j], tw_compose(
-                x.mu_elt(i, j), tw_compose(eps_maps[i], p_maps[i]))))
-            t2 = tw_compose(j_maps[j], tw_compose(y.mu_elt(i, j), s_maps[i]))
-            t3 = tw_compose(j_maps[j], tw_compose(f.entry(i, j), tw_compose(
-                eps_maps[i], p_maps[i])))
-            entry = tw_add(tw_scale(field.neg(field.one), t1), tw_add(t2, t3))
-            if not entry.is_zero():
-                gamma[(i, j)] = entry
-    cone_obj = GluePrimeObject(cat, x.block_of, n, cones, gamma)
     xs = x.shift()
-    # retype the structure maps against the assembled objects
-    i_gp = GpMorphism(xs, cone_obj, 0,
-                      {(k, k): TwMorphism(xs.comps[k], cones[k], 0,
-                                          i_maps[k].entries) for k in range(n)})
-    p_gp = GpMorphism(cone_obj, xs, 0,
-                      {(k, k): TwMorphism(cones[k], xs.comps[k], 0,
-                                          p_maps[k].entries) for k in range(n)})
-    j_gp = GpMorphism(y, cone_obj, 0,
-                      {(k, k): TwMorphism(y.comps[k], cones[k], 0,
-                                          j_maps[k].entries) for k in range(n)})
-    s_gp = GpMorphism(cone_obj, y, 0,
-                      {(k, k): TwMorphism(cones[k], y.comps[k], 0,
-                                          s_maps[k].entries) for k in range(n)})
-    eps_gp = GpMorphism(xs, x, 1,
-                        {(k, k): TwMorphism(xs.comps[k], x.comps[k], 1,
-                                            eps_maps[k].entries) for k in range(n)})
-    return GluePrimeCone(cone_obj, i_gp, p_gp, j_gp, s_gp, eps_gp, xs)
+    cat, field = x.cat, x.cat.field
+    neg = field.neg(field.one)
+
+    def ids(src, tgt, degree, terms, row_off=0, col_off=0):
+        return TwMorphism(src, tgt, degree,
+                          {(row_off + r, col_off + r): cat.id_elt(obj)
+                           for r, (obj, _) in enumerate(terms)})
+
+    cones, i_k, p_k, j_k, s_k, eps_k, eps_inv_k = ([] for _ in range(7))
+    for k in range(x.n):
+        C = cone_tw(tw_scale(field.one if (x.n - 1 - k) % 2 == 0 else neg,
+                             f.entry(k, k)))
+        mk, mk1, nk = x.comps[k], xs.comps[k], y.comps[k]
+        nt = len(nk.terms)
+        cones.append(C)
+        j_k.append(ids(nk, C, 0, nk.terms))
+        s_k.append(ids(C, nk, 0, nk.terms))
+        i_k.append(ids(mk1, C, 0, mk.terms, row_off=nt))
+        p_k.append(ids(C, mk1, 0, mk.terms, col_off=nt))
+        eps_k.append(ids(mk1, mk, 1, mk.terms))
+        eps_inv_k.append(ids(mk, mk1, -1, mk.terms))
+    gamma = {}
+    for i in range(x.n):
+        eps_p = tw_compose(eps_k[i], p_k[i])
+        for j in range(i + 1, x.n):
+            t1 = tw_compose(i_k[j], tw_compose(eps_inv_k[j], tw_compose(
+                x.mu_elt(i, j), eps_p)))
+            t2 = tw_compose(j_k[j], tw_compose(y.mu_elt(i, j), s_k[i]))
+            t3 = tw_compose(j_k[j], tw_compose(f.entry(i, j), eps_p))
+            gamma[(i, j)] = tw_add(tw_scale(neg, t1), tw_add(t2, t3))
+    cone_obj = GluePrimeObject(cat, x.block_of, x.n, cones, gamma)
+
+    def diag(src, tgt, degree, maps):
+        return GpMorphism(src, tgt, degree,
+                          {(k, k): m for k, m in enumerate(maps)})
+
+    return GluePrimeCone(cone_obj, diag(xs, cone_obj, 0, i_k),
+                         diag(cone_obj, xs, 0, p_k), diag(y, cone_obj, 0, j_k),
+                         diag(cone_obj, y, 0, s_k), diag(xs, x, 1, eps_k), xs)

@@ -316,6 +316,30 @@ def test_malformed_key_or_integer_exits_1(tmp_path, command, doc):
     _assert_input_error(run_cli([command, "--in", str(p)]))
 
 
+@pytest.mark.parametrize("command, term", [
+    ("validate", ["nope", 0]),      # no object of the category
+    ("glue", ["nope", 0]),
+    ("validate", 5),
+    ("validate", [["x"], 0]),       # an unhashable name
+    ("glue", [["x"], 0]),
+    ("validate", "1:0"),            # a string, not a pair
+    ("validate", {"shift": 0}),     # no "obj"
+    ("validate", ["0:0"]),
+    ("validate", ["0:0", 0, 1]),
+], ids=["unknown-name", "glue-unknown-name", "number", "list-name",
+        "glue-list-name", "string", "no-obj", "short-pair", "long-pair"])
+def test_malformed_twisted_term_exits_1(tmp_path, command, term):
+    doc = json.loads((DOCS / "refinement_square.json").read_text())
+    doc["twisted_complexes"] = {"t": {"terms": [term], "delta": {},
+                                      "category": "gac:square"}}
+    doc["params"].update(target="t", objects="t")
+    p = tmp_path / "bad_term.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli([command, "--in", str(p)])
+    _assert_input_error(res)
+    assert "twisted-complex term" in json.loads(res.stdout)["error"]
+
+
 def test_max_dim_guard(tmp_path):
     res = run_cli(["check-qff", "--in", str(DOCS / "refinement_square.json"),
                    "--max-dim", "1"])
