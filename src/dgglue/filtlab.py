@@ -12,12 +12,14 @@ making every construction reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate
 
 from .complexes import Complex
 from .dgcat import DgCategory, DgFunctor, add_bilinear_block
-from .linalg import LinAlgError, Matrix, mul_kron, quotient_maps
+from .linalg import LinAlgError, Matrix, kron, mul_kron, quotient_maps
 
 
 class FiltError(ValueError):
@@ -50,7 +52,6 @@ class FilteredAlgebra:
             raise FiltError("filtration must list F^0 .. F^{-length}")
         self._quot_cache = {}
         self._membership_cache = {}
-        self._vec_coords = {}       # (s, vector) -> nonzero (index, coordinate)
 
     # -- algebra arithmetic -------------------------------------------
 
@@ -226,8 +227,11 @@ class GradedModule:
     """A length-L graded module over the Rees algebra of a filtered algebra.
 
     dims[k] is the dimension of the component in degree -k (k = 0..L-1);
-    tau[k]: degree -k -> degree -k+1 for k = 1..L-1; act[(j, k)] is the list,
-    over the F^{-j} basis, of action matrices degree -k -> degree -k-j.
+    tau[k]: degree -k -> degree -k+1 for k = 1..L-1.  act[(j, k)] is the
+    bilinear action F^{-j} (x) M^{-k} -> M^{-k-j} as one dims[k+j] x
+    (n_j dims[k]) matrix, n_j = dim F^{-j}: column s * dims[k] + c is the
+    s-th F^{-j} basis vector acting on basis vector c.  A missing key is the
+    zero action.
     """
 
     def __init__(self, alg: FilteredAlgebra, length: int, dims, tau: dict,
@@ -261,112 +265,126 @@ class GradedModule:
             return Matrix.zeros(self.alg.field, self.dim_at(d + 1), self.dims[k])
         return m
 
-    def act_basis(self, j: int, k: int, s: int) -> Matrix:
-        """Action of the s-th F^{-j} basis vector: degree -k -> degree -k-j."""
-        field = self.alg.field
+    def act_at(self, j: int, k: int) -> Matrix:
+        """act[(j, k)], or the zero action; requires k + j < length."""
+        mat = self.act.get((j, k))
+        if mat is None:
+            mat = Matrix.zeros(self.alg.field, self.dims[k + j],
+                               self.alg.fil(-j).ncols * self.dims[k])
+        return mat
+
+    def act_elem(self, j: int, k: int, x: Matrix) -> Matrix:
+        """Action of the ambient columns of x, each in F^{-j}: degree -k ->
+        -k-j, column t * dims[k] + c for column t of x on basis vector c."""
+        coords = self.alg.fil_coords(-j, x)
         if k + j >= self.length:
-            return Matrix.zeros(field, 0, self.dims[k] if k < self.length else 0)
-        mats = self.act.get((j, k))
-        if mats is None:
-            return Matrix.zeros(field, self.dims[k + j], self.dims[k])
-        return mats[s]
+            return Matrix.zeros(self.alg.field, 0, x.ncols * self.dim_at(-k))
+        return mul_kron(self.act_at(j, k), coords, self.dims[k])
 
-    def act_elem(self, j: int, k: int, ambient_vec) -> Matrix:
-        """Action of an ambient vector lying in F^{-j}: degree -k -> -k-j."""
-        alg = self.alg
-        key = (-j, tuple(ambient_vec))
-        coords = alg._vec_coords.get(key)
-        if coords is None:
-            x = alg.fil_coords(-j, Matrix.column(alg.field, ambient_vec))
-            coords = alg._vec_coords[key] = [
-                (s, row[0]) for s, row in enumerate(x.rows) if row]
-        rows = self.dims[k + j] if k + j < self.length else 0
-        out = Matrix.zeros(alg.field, rows, self.dims[k] if k < self.length else 0)
-        for s, c in coords:
-            out = out + self.act_basis(j, k, s).scaled(c)
-        return out
+    def act_deg(self, x: Matrix, deg: int, d_src: int) -> Matrix:
+        """Action of the Rees elements (column of x, deg): degree d_src ->
+        d_src + deg, column t * dim_at(d_src) + c for column t of x on basis
+        vector c.
 
-    def act_deg(self, ambient_vec, deg: int, d_src: int) -> Matrix:
-        """Action of the Rees element (vec, deg): degree d_src -> d_src + deg.
-
-        Requires vec in F^{min(deg, 0)}.  Routes through the stored window
-        and climbs with transition maps; identifications above degree zero
-        are the canonical ones.
+        Requires each column in F^{min(deg, 0)}.  Routes through the stored
+        window and climbs with transition maps; identifications above degree
+        zero are the canonical ones.
         """
-        field = self.alg.field
         d_tgt = d_src + deg
-        if self.dim_at(d_src) == 0 or self.dim_at(d_tgt) == 0:
-            return Matrix.zeros(field, self.dim_at(d_tgt), self.dim_at(d_src))
+        rows, cols = self.dim_at(d_tgt), x.ncols * self.dim_at(d_src)
+        if rows == 0 or cols == 0:
+            return Matrix.zeros(self.alg.field, rows, cols)
         j = max(0, -deg)
-        base = min(d_src, 0)
-        k = -base
-        m = self.act_elem(j, k, ambient_vec)
-        cur = base - j
-        if m.nrows == 0 and self.dim_at(d_tgt) != 0:
+        cur = min(d_src, 0)
+        m = self.act_elem(j, -cur, x)
+        if m.nrows == 0:
             # action factored through a vanishing component
-            return Matrix.zeros(field, self.dim_at(d_tgt), self.dim_at(d_src))
-        while cur < d_tgt:
+            return Matrix.zeros(self.alg.field, rows, cols)
+        for cur in range(cur - j, d_tgt):
             m = self.tau_at(cur) @ m
-            cur += 1
         return m
 
 
+def _bad_blocks(lhs: Matrix, rhs: Matrix, width: int) -> set:
+    """Indices of the column blocks of the given width where lhs and rhs
+    differ (empty when they are equal)."""
+    if lhs == rhs:
+        return set()
+    lcols, rcols = lhs.transpose().rows, rhs.transpose().rows
+    return {c // width for c in range(lhs.ncols) if lcols[c] != rcols[c]}
+
+
 def validate_module(m: GradedModule, max_report: int = 20) -> list:
+    """Check the Rees-module laws; returns a list of violations.
+
+    Each law is one matrix identity per (a, b, k) or (j, k) between products
+    of the action matrices A and the transitions t; associativity, for
+    example, is A_{a+b,k} kron(mu_ab, I) = A_{a,k+b} kron(I, A_{b,k}), with
+    mu_ab the F^{-a-b} coordinates of the products of the F^{-a} and F^{-b}
+    bases.  Only a failing identity is walked, block by block, to name its
+    violations, so the list is that of checking every basis element.
+    """
     bad = []
     alg = m.alg
-    field = alg.field
+    field, L, dims = alg.field, m.length, m.dims
 
     def report(msg):
         if len(bad) < max_report:
             bad.append(msg)
 
     # unit acts as identity on every component
-    for k in range(m.length):
-        if m.act_elem(0, k, alg.unit) != Matrix.identity(field, m.dims[k]):
+    unit = Matrix.column(field, alg.unit)
+    for k in range(L):
+        if m.act_elem(0, k, unit) != Matrix.identity(field, dims[k]):
             report(f"unit does not act as identity at degree {-k}")
+    # the action of the F^{-j} basis columns: degree -k -> -k-j
+    on_basis = cache(lambda j, k: m.act_elem(j, k, alg.fil(-j)))
     # associativity: (f g) m = f (g m) for filtration basis vectors
     for a in range(alg.length):
-        fa = alg.fil(-a)
         for b in range(alg.length):
-            fb = alg.fil(-b)
-            for ca in fa.columns():
-                for cb in fb.columns():
-                    prod = alg.mul_vec(ca, cb)
-                    for k in range(m.length):
-                        if k + a + b >= m.length:
-                            continue
-                        lhs = m.act_elem(a + b, k, prod)
-                        rhs = m.act_elem(a, k + b, ca) @ m.act_elem(b, k, cb)
-                        if lhs != rhs:
-                            report(f"action associativity fails at "
-                                   f"(F^{-a},F^{-b},deg {-k})")
+            ks = range(L - a - b)
+            if not ks:
+                continue
+            na, nb = alg.fil(-a).ncols, alg.fil(-b).ncols
+            prods = mul_kron(alg.table, alg.fil(-a), alg.fil(-b))
+            fails = {k: _bad_blocks(
+                m.act_elem(a + b, k, prods),
+                mul_kron(on_basis(a, k + b), na, on_basis(b, k)), dims[k])
+                for k in ks}
+            for blk in range(na * nb):
+                for k in ks:
+                    if blk in fails[k]:
+                        report(f"action associativity fails at "
+                               f"(F^{-a},F^{-b},deg {-k})")
     # transition equivariance: f t^{-j+1} = t (f t^{-j}) and t-centrality
     for j in range(1, alg.length):
         fj = alg.fil(-j)
-        for cj in fj.columns():
-            for k in range(m.length):
-                if k + j < m.length:
-                    lhs = m.act_elem(j - 1, k, cj)
-                    rhs = m.tau_at(-k - j) @ m.act_elem(j, k, cj)
-                    if lhs != rhs:
-                        report(f"transition equivariance fails (j={j}, k={k})")
-                elif k + j == m.length and k + j - 1 < m.length:
-                    if not m.act_elem(j - 1, k, cj).is_zero():
-                        report(f"boundary action not killed (j={j}, k={k})")
-                if 0 < k and k + j < m.length:
-                    lhs = m.act_elem(j, k - 1, cj) @ m.tau_at(-k)
-                    rhs = m.tau_at(-k - j) @ m.act_elem(j, k, cj)
-                    if lhs != rhs:
-                        report(f"t-centrality fails (j={j}, k={k})")
+        equi, central = {}, {}
+        for k in range(L):
+            if k + j < L:
+                rhs = m.tau_at(-k - j) @ on_basis(j, k)
+                equi[k] = _bad_blocks(m.act_elem(j - 1, k, fj), rhs, dims[k])
+                if k > 0:
+                    lhs = mul_kron(on_basis(j, k - 1), fj.ncols, m.tau_at(-k))
+                    central[k] = _bad_blocks(lhs, rhs, dims[k])
+            elif k + j == L:
+                lhs = m.act_elem(j - 1, k, fj)
+                equi[k] = _bad_blocks(lhs, Matrix.zeros(field, *lhs.shape),
+                                      dims[k])
+        for s in range(fj.ncols):
+            for k in range(L):
+                if s in equi.get(k, ()):
+                    report(f"transition equivariance fails (j={j}, k={k})"
+                           if k + j < L else
+                           f"boundary action not killed (j={j}, k={k})")
+                if s in central.get(k, ()):
+                    report(f"t-centrality fails (j={j}, k={k})")
     # degree-zero action commutes with transitions
-    for k in range(1, m.length):
-        for i in range(alg.dim):
-            e = [field.zero] * alg.dim
-            e[i] = field.one
-            lhs = m.act_elem(0, k - 1, e) @ m.tau_at(-k)
-            rhs = m.tau_at(-k) @ m.act_elem(0, k, e)
-            if lhs != rhs:
-                report(f"degree-zero action not t-central (k={k}, basis {i})")
+    for k in range(1, L):
+        lhs = mul_kron(on_basis(0, k - 1), alg.dim, m.tau_at(-k))
+        for i in sorted(_bad_blocks(lhs, m.tau_at(-k) @ on_basis(0, k),
+                                    dims[k])):
+            report(f"degree-zero action not t-central (k={k}, basis {i})")
     return bad
 
 
@@ -378,15 +396,10 @@ def truncated_free(alg: FilteredAlgebra, i: int) -> GradedModule:
     quots = [alg.quot(i - k, i - n) for k in range(n)]
     dims = [q.dim for q in quots]
     tau = {k: quots[k - 1].from_ambient(quots[k].ambient) for k in range(1, n)}
-    act = {}
-    for j in range(n):
-        fj = alg.fil(-j)
-        for k in range(n - j):
-            # column s * d + c: the s-th F^{-j} basis vector times class c
-            src, tgt, d = quots[k], quots[k + j], quots[k].dim
-            both = tgt.from_ambient(mul_kron(alg.table, fj, src.ambient))
-            act[(j, k)] = [both.submatrix((0, tgt.dim), (s * d, s * d + d))
-                           for s in range(fj.ncols)]
+    # column s * d + c: the s-th F^{-j} basis vector times class c
+    act = {(j, k): quots[k + j].from_ambient(
+        mul_kron(alg.table, alg.fil(-j), quots[k].ambient))
+        for j in range(n) for k in range(n - j)}
     return GradedModule(alg, n, dims, tau, act)
 
 
@@ -418,21 +431,51 @@ def direct_sum_modules(mods) -> GradedModule:
     for j in range(alg.length):
         nj = alg.fil(-j).ncols
         for k in range(length - j):
-            mats = []
-            for s in range(nj):
-                mats.append(Matrix.block(
-                    field, [m.dims[k + j] for m in mods],
-                    [m.dims[k] for m in mods],
-                    {(i, i): m.act_basis(j, k, s) for i, m in enumerate(mods)}))
-            act[(j, k)] = mats
+            # summand i's column s * d_i + c lands in s * dims[k] + offset + c
+            out = act[(j, k)] = Matrix.zeros(field, dims[k + j], nj * dims[k])
+            row0 = col0 = 0
+            for m in mods:
+                add_bilinear_block(out, m.act_at(j, k), row0, 0, col0,
+                                   m.dims[k], dims[k])
+                row0, col0 = row0 + m.dims[k + j], col0 + m.dims[k]
     return GradedModule(alg, length, dims, tau, act)
+
+
+def _intertwiners(field, dims1, dims2, laws) -> Matrix:
+    """Kernel basis of the linear system on maps X_k: k^{dims1[k]} ->
+    k^{dims2[k]} given by X_b P = Q kron(I_t, X_a) for each law
+    (a, b, t, P, Q).
+
+    P maps t copies of slot a to slot b of the source (column s * dims1[a]
+    + c, as a module action), Q does so in the target.  The unknowns are
+    the entries of X_0, X_1, .. in row-major order: row-major vec(X_b P) is
+    kron(I, P^T) vec(X_b), and vec(Q kron(I_t, X_a)) is kron(Q', I) vec(X_a),
+    where row r * t + s of Q' is the s-th column block of row r of Q.
+    """
+    sizes = [d2 * d1 for d1, d2 in zip(dims1, dims2)]
+    heights, blocks = [], {}
+    for e, (a, b, t, P, Q) in enumerate(laws):
+        fold = [{} for _ in range(Q.nrows * t)]
+        for r, row in enumerate(Q.rows):
+            for col, v in row.items():
+                s, u = divmod(col, dims2[a])
+                fold[r * t + s][u] = v
+        right = -kron(Matrix(field, Q.nrows * t, dims2[a], fold),
+                      Matrix.identity(field, dims1[a]))
+        left = kron(Matrix.identity(field, dims2[b]), P.transpose())
+        if a == b:
+            blocks[(e, b)] = left + right
+        else:
+            blocks[(e, b)], blocks[(e, a)] = left, right
+        heights.append(left.nrows)
+    return Matrix.block(field, heights, sizes, blocks).kernel_basis()
 
 
 def module_hom(m1: GradedModule, m2: GradedModule):
     """Degree-zero Rees-linear maps m1 -> m2: (dimension, basis).
 
-    Each basis element is a tuple of per-component matrices.  Solved as one
-    exact linear system over the equivariance conditions.
+    Each basis element is a tuple of per-component matrices, from one exact
+    linear system: every transition and every action (j, k) intertwined.
     """
     if m1.alg is not m2.alg and m1.alg != m2.alg:
         raise FiltError("modules over different algebras")
@@ -441,68 +484,21 @@ def module_hom(m1: GradedModule, m2: GradedModule):
     alg = m1.alg
     field = alg.field
     L = m1.length
-    sizes = [m2.dims[k] * m1.dims[k] for k in range(L)]
-    offsets = []
-    acc = 0
-    for s in sizes:
-        offsets.append(acc)
-        acc += s
-    total = acc
-
-    def unknown_index(k, r, c):
-        return offsets[k] + r * m1.dims[k] + c
-
-    rows = []
-
-    def add_equation(coeffs):
-        row = {i: v for i, v in coeffs.items() if not field.is_zero(v)}
-        if row:
-            rows.append(row)
-
-    def equivariance(map_src: Matrix, map_tgt: Matrix, k_src: int, k_tgt: int):
-        # phi_{k_tgt} o map_src - map_tgt o phi_{k_src} = 0, entrywise
-        for r in range(map_tgt.nrows):
-            for c in range(m1.dims[k_src]):
-                eq = {}
-                for (mrow, mcol), v in map_src.items():
-                    if mcol == c:
-                        idx = unknown_index(k_tgt, r, mrow)
-                        eq[idx] = field.add(eq.get(idx, field.zero), v)
-                for (mrow, mcol), v in map_tgt.items():
-                    if mrow == r:
-                        idx = unknown_index(k_src, mcol, c)
-                        eq[idx] = field.sub(eq.get(idx, field.zero), v)
-                add_equation(eq)
-
-    for k in range(1, L):
-        equivariance(m1.tau_at(-k), m2.tau_at(-k), k, k - 1)
-    for j in range(alg.length):
-        nj = alg.fil(-j).ncols
-        for k in range(L - j):
-            for s in range(nj):
-                equivariance(m1.act_basis(j, k, s), m2.act_basis(j, k, s),
-                             k, k + j)
-    if total == 0:
+    laws = [(k, k - 1, 1, m1.tau_at(-k), m2.tau_at(-k)) for k in range(1, L)]
+    laws += [(k, k + j, alg.fil(-j).ncols, m1.act_at(j, k), m2.act_at(j, k))
+             for j in range(alg.length) for k in range(L - j)]
+    basis = _intertwiners(field, m1.dims, m2.dims, laws)
+    if basis.nrows == 0:
         return 0, []
-    mat = Matrix.zeros(field, len(rows), total)
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            mat.set(r, c, v)
-    if len(rows) == 0:
-        basis = Matrix.identity(field, total)
-    else:
-        basis = mat.kernel_basis()
+    offsets = list(accumulate((d2 * d1 for d1, d2 in zip(m1.dims, m2.dims)),
+                              initial=0))
     out = []
-    for col in basis.columns():
-        mats = []
-        for k in range(L):
-            m = Matrix.zeros(field, m2.dims[k], m1.dims[k])
-            for r in range(m2.dims[k]):
-                for c in range(m1.dims[k]):
-                    v = col[unknown_index(k, r, c)]
-                    if not field.is_zero(v):
-                        m.set(r, c, v)
-            mats.append(m)
+    for col in basis.transpose().rows:
+        mats = [Matrix.zeros(field, m2.dims[k], m1.dims[k]) for k in range(L)]
+        for idx, v in col.items():
+            k = bisect_right(offsets, idx) - 1
+            r, c = divmod(idx - offsets[k], m1.dims[k])
+            mats[k].rows[r][c] = v
         out.append(tuple(mats))
     return basis.ncols, out
 
@@ -637,24 +633,22 @@ def auslander(alg: FilteredAlgebra) -> AuslanderAlgebra:
 
 @dataclass
 class AuslanderModule:
-    """A right module over the Auslander algebra: the row (M^0 ... M^{-n+1})."""
+    """A right module over the Auslander algebra: the row (M^0 ... M^{-n+1}).
+
+    action[(i, j)] has one column s * dims[i] + c for the basis triple
+    (i, j, s) acting on basis vector c of slot i."""
 
     aus: AuslanderAlgebra
     dims: list          # dims[i] = dim of row slot i (= M^{-i})
-    action: dict        # basis triple (i, j, s) -> Matrix slot i -> slot j
+    action: dict        # block (i, j) -> Matrix slot i -> slot j
 
 
 def auslander_E(aus: AuslanderAlgebra, m: GradedModule) -> AuslanderModule:
     """The row-module image of a graded module under the Morita equivalence."""
     if m.length != aus.n:
         raise FiltError("module length must match the algebra length")
-    action = {}
-    for (i, j, s) in aus.basis:
-        q = aus.blocks[(i, j)]
-        e = [aus.field.zero] * q.dim
-        e[s] = aus.field.one
-        amb = q.to_ambient(e)
-        action[(i, j, s)] = m.act_deg(amb, i - j, -i)
+    action = {(i, j): m.act_deg(q.ambient, i - j, -i)
+              for (i, j), q in aus.blocks.items()}
     return AuslanderModule(aus, list(m.dims), action)
 
 
@@ -662,47 +656,14 @@ def auslander_module_hom(m1: AuslanderModule, m2: AuslanderModule):
     """Right-module maps between row modules: (dimension, basis).
 
     Independent of `module_hom`: solves the equivariance system over the
-    Auslander basis directly.
+    Auslander basis directly, one law per block.
     """
     aus = m1.aus
-    field = aus.field
-    n = aus.n
-    sizes = [m2.dims[i] * m1.dims[i] for i in range(n)]
-    offsets = []
-    acc = 0
-    for s in sizes:
-        offsets.append(acc)
-        acc += s
-    total = acc
-
-    def unknown_index(i, r, c):
-        return offsets[i] + r * m1.dims[i] + c
-
-    rows = []
-    for (i, j, s) in aus.basis:
-        a1 = m1.action[(i, j, s)]
-        a2 = m2.action[(i, j, s)]
-        for r in range(m2.dims[j]):
-            for c in range(m1.dims[i]):
-                eq = {}
-                for (mr, mc), v in a1.items():
-                    if mc == c:
-                        idx = unknown_index(j, r, mr)
-                        eq[idx] = field.add(eq.get(idx, field.zero), v)
-                for (mr, mc), v in a2.items():
-                    if mr == r:
-                        idx = unknown_index(i, mc, c)
-                        eq[idx] = field.sub(eq.get(idx, field.zero), v)
-                eq = {k: v for k, v in eq.items() if not field.is_zero(v)}
-                if eq:
-                    rows.append(eq)
-    if total == 0:
+    laws = [(i, j, aus.block_dim(i, j), m1.action[(i, j)], m2.action[(i, j)])
+            for (i, j) in aus.blocks]
+    basis = _intertwiners(aus.field, m1.dims, m2.dims, laws)
+    if basis.nrows == 0:
         return 0, []
-    mat = Matrix.zeros(field, len(rows), total)
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            mat.set(r, c, v)
-    basis = mat.kernel_basis() if rows else Matrix.identity(field, total)
     return basis.ncols, basis
 
 
@@ -780,57 +741,40 @@ def shift_module(m: GradedModule, i: int) -> GradedModule:
     L = m.length + i
     dims = [m.dim_at(i - k) for k in range(L)]
     tau = {k: m.tau_at(i - k) for k in range(1, L)}
-    act = {}
-    for j in range(alg.length):
-        nj = alg.fil(-j).ncols
-        for k in range(L - j):
-            mats = []
-            for s in range(nj):
-                col = alg.fil(-j).columns()[s]
-                mats.append(m.act_deg(col, -j, i - k))
-            act[(j, k)] = mats
+    act = {(j, k): m.act_deg(alg.fil(-j), -j, i - k)
+           for j in range(alg.length) for k in range(L - j)}
     return GradedModule(alg, L, dims, tau, act)
+
+
+def _quotient(m: GradedModule, subs) -> GradedModule:
+    """The quotient of the first len(subs) components of m by the column
+    spans of subs[k] <= M^{-k}, which the transitions and actions preserve.
+
+    `proj[k]` and `lift[k]` (from `quotient_maps`) are kept on the result.
+    """
+    alg = m.alg
+    n = len(subs)
+    maps = [quotient_maps(alg.field, m.dims[k], sub)
+            for k, sub in enumerate(subs)]
+    projs, lifts = [p for p, _ in maps], [lift for _, lift in maps]
+    tau = {k: projs[k - 1] @ (m.tau_at(-k) @ lifts[k]) for k in range(1, n)}
+    act = {(j, k): projs[k + j] @ mul_kron(m.act_at(j, k), alg.fil(-j).ncols,
+                                           lifts[k])
+           for j in range(alg.length) for k in range(n - j)}
+    out = GradedModule(alg, n, [p.nrows for p in projs], tau, act)
+    out.proj, out.lift = projs, lifts
+    return out
 
 
 def truncate(m: GradedModule, n: int) -> GradedModule:
     """The left truncation to length n: components M^{-k} / tau^{n-k}(M^{-n})."""
     if m.length < n:
         raise FiltError("module is shorter than the truncation length")
-    alg = m.alg
-    field = alg.field
-    projs = []
-    lifts = []
-    dims = []
-    for k in range(n):
-        if m.length <= n:
-            sub = Matrix.zeros(field, m.dims[k], 0)
-        else:
-            # image of M^{-n} under the chain of transitions up to degree -k
-            mat = Matrix.identity(field, m.dims[n])
-            cur = -n
-            while cur < -k:
-                mat = m.tau_at(cur) @ mat
-                cur += 1
-            sub = mat
-        proj, lift = quotient_maps(field, m.dims[k], sub)
-        projs.append(proj)
-        lifts.append(lift)
-        dims.append(proj.nrows)
-    tau = {}
-    for k in range(1, n):
-        tau[k] = projs[k - 1] @ (m.tau_at(-k) @ lifts[k])
-    act = {}
-    for j in range(alg.length):
-        nj = alg.fil(-j).ncols
-        for k in range(n - j):
-            mats = []
-            for s in range(nj):
-                mats.append(projs[k + j] @ (m.act_basis(j, k, s) @ lifts[k]))
-            act[(j, k)] = mats
-    out = GradedModule(alg, n, dims, tau, act)
-    out.trunc_proj = projs
-    out.trunc_lift = lifts
-    return out
+    # the images of M^{-n} under the chains of transitions up to degree -k
+    subs = [Matrix.identity(m.alg.field, m.dim_at(-n))]
+    for k in reversed(range(n)):
+        subs.append(m.tau_at(-k - 1) @ subs[-1])
+    return _quotient(m, subs[:0:-1])
 
 
 def veronese(m: GradedModule, d: int, target_alg: FilteredAlgebra) -> GradedModule:
@@ -847,19 +791,11 @@ def veronese(m: GradedModule, d: int, target_alg: FilteredAlgebra) -> GradedModu
     tau = {}
     for k in range(1, L):
         mat = Matrix.identity(field, m.dim_at(-d * k))
-        cur = -d * k
-        for _ in range(d):
+        for cur in range(-d * k, -d * k + d):
             mat = m.tau_at(cur) @ mat
-            cur += 1
         tau[k] = mat
-    act = {}
-    for j in range(L):
-        fj = target_alg.fil(-j)
-        for k in range(L - j):
-            mats = []
-            for col in fj.columns():
-                mats.append(m.act_deg(col, -d * j, -d * k))
-            act[(j, k)] = mats
+    act = {(j, k): m.act_deg(target_alg.fil(-j), -d * j, -d * k)
+           for j in range(L) for k in range(L - j)}
     return GradedModule(target_alg, L, dims, tau, act)
 
 
@@ -883,36 +819,24 @@ def epsilon(m: GradedModule, d: int, target_alg: FilteredAlgebra) -> GradedModul
     field = alg.field
     if target_alg.length != L:
         raise FiltError("epsilon target must have length d * length")
-    dims = [m.dim_at(-((k + d - 1) // d)) for k in range(L)]
-
-    def floor_deg(i):
-        # floor(i / d) for the (possibly negative) degree i
-        return i // d
-
+    # component i is M^{floor(i / d)}, for the (negative) degree i
+    dims = [m.dim_at(-k // d) for k in range(L)]
     tau = {}
     for k in range(1, L):
-        lo, hi = floor_deg(-k), floor_deg(-k + 1)
+        lo, hi = -k // d, (-k + 1) // d
         if lo == hi:
             tau[k] = Matrix.identity(field, m.dim_at(lo))
         else:
             tau[k] = m.tau_at(lo)
     act = {}
-    for j in range(target_alg.length):
-        fj = target_alg.fil(-j)
-        jf = -floor_deg(-j)
+    for j in range(L):
+        jf = -(-j // d)
         for k in range(L - j):
-            mats = []
-            src_deg = floor_deg(-k)
-            tgt_deg = floor_deg(-k - j)
-            for col in fj.columns():
-                base = m.act_deg(col, -jf, src_deg)
-                cur = src_deg - jf
-                while cur < tgt_deg:
-                    base = m.tau_at(cur) @ base
-                    cur += 1
-                # tgt_deg <= src_deg - jf always; climb handled, now descend:
-                mats.append(base)
-            act[(j, k)] = mats
+            src_deg = -k // d
+            mat = m.act_deg(target_alg.fil(-j), -jf, src_deg)
+            for cur in range(src_deg - jf, (-k - j) // d):
+                mat = m.tau_at(cur) @ mat
+            act[(j, k)] = mat
     return GradedModule(target_alg, L, dims, tau, act)
 
 
@@ -933,29 +857,7 @@ def free_hom_map(alg: FilteredAlgebra, a: int, b: int, coords):
 
 def module_cokernel(src: GradedModule, tgt: GradedModule, mats) -> GradedModule:
     """The cokernel of a module map given by per-component matrices."""
-    alg = tgt.alg
-    field = alg.field
-    L = tgt.length
-    projs = []
-    lifts = []
-    dims = []
-    for c in range(L):
-        proj, lift = quotient_maps(field, tgt.dims[c], mats[c])
-        projs.append(proj)
-        lifts.append(lift)
-        dims.append(proj.nrows)
-    tau = {}
-    for k in range(1, L):
-        tau[k] = projs[k - 1] @ (tgt.tau_at(-k) @ lifts[k])
-    act = {}
-    for j in range(alg.length):
-        nj = alg.fil(-j).ncols
-        for k in range(L - j):
-            row = []
-            for s in range(nj):
-                row.append(projs[k + j] @ (tgt.act_basis(j, k, s) @ lifts[k]))
-            act[(j, k)] = row
-    return GradedModule(alg, L, dims, tau, act)
+    return _quotient(tgt, [mats[c] for c in range(tgt.length)])
 
 
 # -- presentations and the truncated tensor product -------------------------
@@ -974,43 +876,30 @@ def greedy_presentation(m: GradedModule):
     n = alg.length
     if m.length != n:
         raise FiltError("presentations need module length = algebra length")
-    gens0 = []
-    for k in range(n):
-        gens0.extend([(k, tuple(col))
-                      for col in Matrix.identity(field, m.dims[k]).columns()])
-
-    # the surjection P0 = (+)_r P_{k_r} -> m, componentwise
-    quots0 = {}
-    for r, (k, v) in enumerate(gens0):
-        quots0[r] = [alg.quot(k - c, k - n) for c in range(n)]
+    gens0 = [(k, col) for k in range(n)
+             for col in Matrix.identity(field, m.dims[k]).columns()]
 
     def surjection_matrix(c):
+        # the surjection P0 = (+)_r P_{k_r} -> m at degree -c: generator r
+        # sends the classes of F^{k-c} / F^{k-n} to their action on its vector
         blocks = []
-        for r, (k, vvec) in enumerate(gens0):
-            q = quots0[r][c]
-            mat = Matrix.zeros(field, m.dims[c], q.dim)
-            for t in range(q.dim):
-                unit = [field.zero] * q.dim
-                unit[t] = field.one
-                f_amb = q.to_ambient(unit)
-                img = m.act_deg(f_amb, k - c, -k).apply(vvec)
-                for rr, v in enumerate(img):
-                    if not field.is_zero(v):
-                        mat.set(rr, t, v)
-            blocks.append(mat)
+        for k in range(n):
+            if m.dims[k]:
+                q = alg.quot(k - c, k - n)
+                act = m.act_deg(q.ambient, k - c, -k)
+                blocks += [mul_kron(act, q.dim, Matrix.column(field, v))
+                           for kk, v in gens0 if kk == k]
         return Matrix.hstack(blocks) if blocks else Matrix.zeros(field, m.dims[c], 0)
 
-    kernels = {c: surjection_matrix(c).kernel_basis() for c in range(n)}
     gens1 = []
     phi = {}
     for c in range(n):
-        kb = kernels[c]
-        for col_idx, col in enumerate(kb.columns()):
+        for col in surjection_matrix(c).kernel_basis().columns():
             s = len(gens1)
             gens1.append((c, None))
             off = 0
             for r, (k, _) in enumerate(gens0):
-                q = quots0[r][c]
+                q = alg.quot(k - c, k - n)
                 chunk = tuple(col[off:off + q.dim])
                 off += q.dim
                 if any(not field.is_zero(x) for x in chunk):
@@ -1030,68 +919,33 @@ def induced_tensor_map(alg: FilteredAlgebra, a: int, b: int, coords,
     `coords` are quotient coordinates in F^{b-a} / F^{b-n}; `ta`, `tb` the
     attached truncations of m(a), m(b).  Returns per-component matrices.
     """
-    field = alg.field
     n = alg.length
-    q = alg.quot(b - a, b - n)
-    f_amb = q.to_ambient(coords)
-    out = []
-    for c in range(n):
-        raw = m.act_deg(f_amb, b - a, a - c)
-        out.append(tb.trunc_proj[c] @ (raw @ ta.trunc_lift[c]))
-    return out
+    f_amb = Matrix.column(alg.field, alg.quot(b - a, b - n).to_ambient(coords))
+    return [tb.proj[c] @ (m.act_deg(f_amb, b - a, a - c) @ ta.lift[c])
+            for c in range(n)]
 
 
 def tensor_n(m1: GradedModule, m2: GradedModule) -> GradedModule:
     """The truncated tensor product l^n(m1 (x) m2), via a presentation of m1."""
     alg = m1.alg
-    field = alg.field
     n = alg.length
     gens0, gens1, phi = greedy_presentation(m1)
-    t0 = {r: tensor_with_free(alg, k, m2) for r, (k, _) in enumerate(gens0)}
-    t1 = {s: tensor_with_free(alg, c, m2) for s, (c, _) in enumerate(gens1)}
-    # assemble the big map (+)_s T1_s -> (+)_r T0_r and take cokernels
+    # one P_k (x)_n m2 per generator degree k
+    frees = {k: tensor_with_free(alg, k, m2)
+             for k in sorted({k for k, _ in gens0 + gens1})}
+    t0 = {r: frees[k] for r, (k, _) in enumerate(gens0)}
+    t1 = {s: frees[c] for s, (c, _) in enumerate(gens1)}
+    # the cokernel of the big map (+)_s T1_s -> (+)_r T0_r
     sum0 = direct_sum_modules([t0[r] for r in range(len(gens0))]) if gens0 else \
         zero_module(alg)
-    comp_maps = {}
-    for (r, s), coords in phi.items():
-        a = gens1[s][0]
-        b = gens0[r][0]
-        comp_maps[(r, s)] = induced_tensor_map(alg, a, b, coords, m2,
-                                               t1[s], t0[r])
-    projs = []
-    lifts = []
-    dims = []
-    for c in range(n):
-        rows = sum(t0[r].dims[c] for r in range(len(gens0)))
-        cols = sum(t1[s].dims[c] for s in range(len(gens1)))
-        img = Matrix.zeros(field, rows, cols)
-        coff = 0
-        for s in range(len(gens1)):
-            roff = 0
-            for r in range(len(gens0)):
-                blk = comp_maps.get((r, s))
-                if blk is not None and not blk[c].is_zero():
-                    for (rr, cc), v in blk[c].items():
-                        img.set(roff + rr, coff + cc, v)
-                roff += t0[r].dims[c]
-            coff += t1[s].dims[c]
-        proj, lift = quotient_maps(field, rows, img)
-        projs.append(proj)
-        lifts.append(lift)
-        dims.append(proj.nrows)
-    tau = {}
-    for k in range(1, n):
-        tau[k] = projs[k - 1] @ (sum0.tau_at(-k) @ lifts[k])
-    act = {}
-    for j in range(alg.length):
-        nj = alg.fil(-j).ncols
-        for k in range(n - j):
-            mats = []
-            for s in range(nj):
-                mats.append(projs[k + j] @ (sum0.act_basis(j, k, s) @ lifts[k]))
-            act[(j, k)] = mats
-    out = GradedModule(alg, n, dims, tau, act)
-    out.tensor_proj = projs
+    comp_maps = {(r, s): induced_tensor_map(alg, gens1[s][0], gens0[r][0],
+                                            coords, m2, t1[s], t0[r])
+                 for (r, s), coords in phi.items()}
+    imgs = [Matrix.block(alg.field, [t0[r].dims[c] for r in range(len(gens0))],
+                         [t1[s].dims[c] for s in range(len(gens1))],
+                         {rs: maps[c] for rs, maps in comp_maps.items()})
+            for c in range(n)]
+    out = _quotient(sum0, imgs)
     out.tensor_parts = (gens0, t0)
     return out
 
@@ -1100,42 +954,25 @@ def tensor_unit_map(m: GradedModule):
     """The canonical comparison P_0 (x)_n m -> m; returns (tensor, matrices).
 
     Evaluation sends the generator of each presentation summand to its image
-    in m; well-definedness on the cokernel follows from functoriality.
+    in m; well-definedness on the cokernel follows from functoriality, so
+    each map is read off through the cokernel's section `lift`.
     """
     alg = m.alg
     field = alg.field
     n = alg.length
-    p0 = truncated_free(alg, 0)
-    t = tensor_n(p0, m)
+    t = tensor_n(truncated_free(alg, 0), m)
     gens0, t0 = t.tensor_parts
     maps = []
     for c in range(n):
-        rows = m.dims[c]
-        cols_total = sum(t0[r].dims[c] for r in range(len(gens0)))
-        mat = Matrix.zeros(field, rows, cols_total)
-        coff = 0
-        for r, (k, vvec) in enumerate(gens0):
-            # generator r is a quotient class of P_0 at degree -k: lift it
-            q0 = alg.quot(-k, -n)
-            gen_amb = q0.to_ambient(vvec)
-            tr = t0[r]
-            for tcol in range(tr.dims[c]):
-                unit = [field.zero] * tr.dims[c]
-                unit[tcol] = field.one
-                lifted = tr.trunc_lift[c].apply(unit)   # element of m(k)^{-c}
-                img = m.act_deg(gen_amb, -k, k - c).apply(lifted)
-                for rr, v in enumerate(img):
-                    if not field.is_zero(v):
-                        mat.set(rr, coff + tcol, v)
-            coff += tr.dims[c]
-        # descend to the cokernel coordinates through a section
-        sec = Matrix.zeros(field, cols_total, t.dims[c])
-        # the cokernel projection has a right inverse given by lifting
-        proj = t.tensor_proj[c]
-        sol = proj.solve(Matrix.identity(field, t.dims[c]))
-        if sol is None:
-            raise FiltError("internal: cokernel projection not surjective")
-        maps.append(mat @ sol)
+        # generator r is a quotient class of P_0 at degree -k; it acts on
+        # the lifted component of m(k)^{-c} = m^{k-c}
+        acts = {k: m.act_deg(alg.quot(-k, -n).ambient, -k, k - c)
+                for k in {k for k, _ in gens0}}
+        blocks = [mul_kron(acts[k], Matrix.column(field, v), m.dim_at(k - c))
+                  @ t0[r].lift[c] for r, (k, v) in enumerate(gens0)]
+        mat = Matrix.hstack(blocks) if blocks else \
+            Matrix.zeros(field, m.dims[c], 0)
+        maps.append(mat @ t.lift[c])
     return t, maps
 
 

@@ -104,11 +104,14 @@ def _items(data, key, kind, default=None):
 
 
 def _int(x) -> int:
-    """An integer field or key part of a document, or DocumentError."""
+    """An integer field or key part of a document (an int or a string of
+    one, never a bool or a float), or DocumentError."""
     try:
-        return int(x)
+        if not isinstance(x, (bool, float)):
+            return int(x)
     except (TypeError, ValueError):
-        raise DocumentError(f"expected an integer, not {x!r}") from None
+        pass
+    raise DocumentError(f"expected an integer, not {x!r}")
 
 
 # Keys repeat across the tables and categories of a document, so their
@@ -358,10 +361,15 @@ def algebra_in(field, data) -> FilteredAlgebra:
 
 
 def module_out(m: GradedModule):
+    """The module as a document: each action (j, k) is written as its list
+    of per-basis-vector matrices, the column blocks of `m.act[(j, k)]`."""
     alg = m.alg
     act = {}
-    for (j, k), mats in sorted(m.act.items()):
-        act[f"{j},{k}"] = [matrix_out(alg.field, mat) for mat in mats]
+    for (j, k), mat in sorted(m.act.items()):
+        d = m.dims[k]
+        act[f"{j},{k}"] = [matrix_out(alg.field, mat.submatrix(
+            (0, mat.nrows), (s * d, s * d + d)))
+            for s in range(alg.fil(-j).ncols)]
     return {
         "length": m.length,
         "dims": list(m.dims),
@@ -374,20 +382,29 @@ def module_out(m: GradedModule):
 def module_in(field, data, alg: FilteredAlgebra) -> GradedModule:
     length = _int(data.get("length", alg.length))
     dims = [_int(d) for d in _get(data, "dims", list)]
+    if len(dims) != length:
+        raise DocumentError(f"a module of length {length} needs {length} dims")
     tau = {}
     for k, rows in _get(data, "tau", dict, {}).items():
         k = _int(k)
+        if not 1 <= k < length:
+            raise DocumentError(f"transition {k} is outside the window "
+                                f"1..{length - 1}")
         tau[k] = matrix_in(field, rows, shape=(dims[k - 1], dims[k]))
     act = {}
     for key, mats in _items(data, "act", list, {}):
         j, k = _ints(key, 2)
+        if not (0 <= j < alg.length and k >= 0 and k + j < length):
+            raise DocumentError(f"action ({j},{k}) is outside the window: "
+                                f"0 <= j < {alg.length}, 0 <= k, k + j < "
+                                f"{length}")
         nj = alg.fil(-j).ncols
         if len(mats) != nj:
             raise DocumentError(f"action ({j},{k}) needs {nj} matrices")
-        act[(j, k)] = [matrix_in(field, rows,
-                                 shape=(dims[k + j] if k + j < length else 0,
-                                        dims[k]))
-                       for rows in mats]
+        shape = (dims[k + j], dims[k])
+        act[(j, k)] = Matrix.block(field, [shape[0]], [shape[1]] * nj, {
+            (0, s): matrix_in(field, rows, shape=shape)
+            for s, rows in enumerate(mats)})
     return GradedModule(alg, length, dims, tau, act)
 
 

@@ -38,6 +38,10 @@ class TwistedComplex:
             if (elt.src, elt.tgt, elt.degree) != \
                     (self.terms[j][0], self.terms[i][0], want):
                 raise TwError(f"delta entry ({i},{j}) has wrong type/degree")
+            dim = cat.hom(elt.src, elt.tgt).dim(want)
+            if len(elt.vec) != dim:
+                raise TwError(f"delta entry ({i},{j}) has {len(elt.vec)} "
+                              f"coordinates, its hom has dimension {dim}")
             if not elt.is_zero(cat.field):
                 self.delta[(i, j)] = elt
         if validate:

@@ -82,6 +82,19 @@ def _glue_square_document():
     return doc
 
 
+def _module_document(corrupt=False):
+    """k[x]/x^3 over F_7 with its truncated free module P_1 as "m"; `corrupt`
+    makes x send the first basis vector of degree 0 to the second as well."""
+    from dgglue.filtlab import truncated_free, truncated_polynomial_algebra
+    alg = truncated_polynomial_algebra(PrimeField(7), 3)
+    mdata = dio.module_out(truncated_free(alg, 1))
+    if corrupt:
+        mdata["act"]["0,0"][1][0][1] = 1
+    return {"field": {"Fp": 7}, "params": {"target": "m"},
+            "filtered_algebras": {"a": dio.algebra_out(alg)},
+            "modules": {"m": dict(mdata, algebra="a")}}
+
+
 # (command, document, sha256 of stdout, --param values, exit code)
 PINNED_REPORTS = [
     ("refine-square", "refine_square_input.json",
@@ -112,6 +125,13 @@ PINNED_REPORTS = [
     ("validate", "glue_square",
      "9ab9f30958d40203a8dfca6b094e2e0bfe4265e8972aa2eb7f19aa2466101680",
      ("target=t2",), 0),
+    # the module laws of P_1 over k[x]/x^3, and with one action entry changed
+    ("validate", "module",
+     "c7eb7192ca10dbb5f4f949c7f23eda87c206808f868983c38318f35a741adab2",
+     ("target=m",), 0),
+    ("validate", "corrupted_module",
+     "a4bcb45f58e61da53fec2806b269effe889c25e971471e33dafdc355bb8d1596",
+     ("target=m",), 0),
 ]
 
 
@@ -123,9 +143,12 @@ def test_report_bytes_pinned(tmp_path, command, document, sha256, params,
     # reports are byte-identical for a fixed document across versions, not
     # only across two runs of one version
     path = DOCS / document
-    if document == "glue_square":
-        path = tmp_path / "glue_square.json"
-        path.write_text(json.dumps(_glue_square_document()))
+    generated = {"glue_square": _glue_square_document,
+                 "module": _module_document,
+                 "corrupted_module": lambda: _module_document(corrupt=True)}
+    if document in generated:
+        path = tmp_path / f"{document}.json"
+        path.write_text(json.dumps(generated[document]()))
     argv = [sys.executable, "-m", "dgglue.cli", command, "--in", str(path)]
     for kv in params:
         argv += ["--param", kv]
@@ -308,8 +331,11 @@ def _square_input(**params):
     ("refine-square", _square_input(d="x")),
     ("totalize", {"field": "Q", "params": {"cube": "q"}, "complex_cubes": {
         "q": {"top": [0], "shape": [0], "vertices": {}, "edges": {}}}}),
+    ("cohomology", _one_complex({"0": 1.9})),
+    ("cohomology", _one_complex({"1": True})),
 ], ids=["hom-key", "comp-key", "edge-key", "degree-key", "dims-value",
-        "scalar-ideal", "word-d", "number-in-shape"])
+        "scalar-ideal", "word-d", "number-in-shape", "float-dims",
+        "bool-dims"])
 def test_malformed_key_or_integer_exits_1(tmp_path, command, doc):
     p = tmp_path / "bad_key.json"
     p.write_text(json.dumps(doc))
@@ -338,6 +364,54 @@ def test_malformed_twisted_term_exits_1(tmp_path, command, term):
     res = run_cli([command, "--in", str(p)])
     _assert_input_error(res)
     assert "twisted-complex term" in json.loads(res.stdout)["error"]
+
+
+@pytest.mark.parametrize("command", ["validate", "glue"])
+@pytest.mark.parametrize("delta", [[], ["1", "0", "0"]], ids=["short", "long"])
+def test_twisted_delta_of_wrong_length(tmp_path, command, delta):
+    # the hom from "0:0" to "1:0" of the square's Gac has dimension 2 in
+    # degree 0; an entry of another length is refused, even when zero
+    doc = _glue_square_document()
+    doc["twisted_complexes"]["t2"]["delta"] = {"0,1": delta}
+    doc["params"].update(target="t2", objects="t2")
+    p = tmp_path / "bad_delta.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli([command, "--in", str(p)])
+    rep = json.loads(res.stdout)
+    if command == "validate":
+        assert res.returncode == 0 and rep["verdict"] is False
+        assert rep["violations"] == [f"delta entry (0,1) has {len(delta)} "
+                                     f"coordinates, its hom has dimension 2"]
+    else:
+        _assert_input_error(res)
+        assert "delta entry (0,1)" in rep["error"]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("tau", "9", [[1]]),
+    ("tau", "3", [[1]]),
+    ("tau", "0", [[1, 0]]),
+    ("act", "0,9", [[[1]], [[0]], [[0]]]),
+    ("act", "9,0", []),
+], ids=["tau-far", "tau-length", "tau-zero", "act-k", "act-j"])
+def test_module_key_outside_window_exits_1(tmp_path, section, key, value):
+    doc = _module_document()
+    doc["modules"]["m"][section][key] = value
+    p = tmp_path / "bad_module.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli(["validate", "--in", str(p)])
+    _assert_input_error(res)
+    assert "outside the window" in json.loads(res.stdout)["error"]
+
+
+def test_module_with_too_few_dims_exits_1(tmp_path):
+    doc = _module_document()
+    doc["modules"]["m"]["dims"] = [2, 2]
+    p = tmp_path / "short_module.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli(["validate", "--in", str(p)])
+    _assert_input_error(res)
+    assert "needs 3 dims" in json.loads(res.stdout)["error"]
 
 
 def test_max_dim_guard(tmp_path):
