@@ -22,6 +22,7 @@ the empty set; cube edge keys are "I|l".
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -54,6 +55,25 @@ class InputError(ValueError):
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector off, then restore
+    the caller's collector state, whatever the exit path.
+
+    A command allocates millions of short-lived containers and almost no
+    reference cycles, so each automatic full collection would re-walk the
+    parsed document and the Gac for nothing; the counts that parsing builds
+    up would trigger such collections later, during the decision, so the
+    collector stays off for the whole command rather than for parsing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _command(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _command(argv):
     parser = argparse.ArgumentParser(
         prog="dgglue",
         description="exact computations with glued hypercubes of dg categories")
@@ -480,6 +500,7 @@ def _table(coh):
 
 
 def _worker_init(raw):
+    gc.disable()            # as in `main`; spawned workers do not inherit it
     _worker["cube"] = dio.parse_document(raw).dg_cubes["cube"]
 
 

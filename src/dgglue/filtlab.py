@@ -203,6 +203,10 @@ def validate_filtration(alg: FilteredAlgebra, max_report: int = 20) -> list:
         report("F^0 is not the whole algebra")
     if not alg.filtration[alg.length].is_zero():
         report(f"F^{-alg.length} is not zero")
+    # a level's column count is taken as its dimension
+    for k in range(1, alg.length):
+        if alg.filtration[k].rank() < alg.filtration[k].ncols:
+            report(f"F^{-k} has linearly dependent columns")
     for k in range(alg.length):
         big, small = alg.fil(-k), alg.fil(-k - 1)
         if big.solve(small) is None:

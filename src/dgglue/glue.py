@@ -44,18 +44,10 @@ class GacCategory:
 
     def layout(self, la: str, lb: str, m: int):
         """Summand blocks (I, base_degree, dim, offset) of hom(la, lb)^m."""
-        cube = self.pair_cubes.get((la, lb))
-        if cube is None:
-            return []
-        out = []
-        off = 0
-        for I, a_deg, d in t_layout(cube, m):
-            out.append((I, a_deg, d, off))
-            off += d
-        return out
+        return _layout(self.pair_cubes, la, lb, m)
 
     def component_of(self, label: str) -> int:
-        return int(label.split(":", 1)[0])
+        return _component(label)
 
     def embed(self, la: str, lb: str, I, elt_deg: int, vec) -> HomElt:
         """Place an A_I-element into the summand I of hom(la, lb)."""
@@ -102,11 +94,11 @@ def gac(cube: DgCube) -> GacCategory:
             pair_cubes[(la, lb)] = pc
             hom[(la, lb)] = totalize(pc)
 
-    out = GacCategory(cube, None, pair_cubes)
-
+    # comp_fn must not reach the GacCategory, whose category holds comp_fn:
+    # without that cycle a dropped Gac is freed at once, collector or not
     def comp_fn(la, lb, lc, deg_i, deg_j):
-        i = out.component_of(la)
-        j = out.component_of(lb)
+        i = _component(la)
+        j = _component(lb)
         rows = hom.get((la, lc), None)
         rows = rows.dim(deg_i + deg_j) if rows is not None else 0
         nbc = hom.get((lb, lc))
@@ -116,10 +108,10 @@ def gac(cube: DgCube) -> GacCategory:
         mat = Matrix.zeros(field, rows, nbc * nab)
         if rows == 0 or nbc == 0 or nab == 0:
             return mat
-        f_layout = out.layout(la, lb, deg_j)
+        f_layout = _layout(pair_cubes, la, lb, deg_j)
         tgt_off = {(I, a): off for I, a, d, off
-                   in out.layout(la, lc, deg_i + deg_j)}
-        for Ig, ag, _, offg in out.layout(lb, lc, deg_i):
+                   in _layout(pair_cubes, la, lc, deg_i + deg_j)}
+        for Ig, ag, _, offg in _layout(pair_cubes, lb, lc, deg_i):
             for If, af, df, offf in f_layout:
                 J = Ig | If
                 base = tgt_off.get((J, ag + af))
@@ -146,9 +138,24 @@ def gac(cube: DgCube) -> GacCategory:
     for i, x in labels:
         comp_cat = cube.vertices[frozenset({i})]
         ids[_label(i, x)] = tuple(comp_cat.ids[x])
-    category = DgCategory(field, objects, hom, comp_fn, ids)
-    out.category = category
+    return GacCategory(cube, DgCategory(field, objects, hom, comp_fn, ids),
+                       pair_cubes)
+
+
+def _layout(pair_cubes, la, lb, m):
+    cube = pair_cubes.get((la, lb))
+    if cube is None:
+        return []
+    out = []
+    off = 0
+    for I, a_deg, d in t_layout(cube, m):
+        out.append((I, a_deg, d, off))
+        off += d
     return out
+
+
+def _component(label: str) -> int:
+    return int(label.split(":", 1)[0])
 
 
 def _pair_objs(cube: DgCube, la: str, lb: str, I):

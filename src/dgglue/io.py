@@ -63,6 +63,8 @@ def matrix_in(field, rows, shape=None) -> Matrix:
     C speed; other exact ints are reduced inline.  Every other scalar goes
     through `field.parse`, whose values are false exactly when zero: canonical
     ints over F_p, and over Q an int when integral and a Fraction otherwise.
+    The string "0", the commonest scalar of a Q document, is dropped without
+    a parse call; any other spelling of zero is parsed and then dropped.
     """
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DocumentError("a matrix must be a list of rows, each a list")
@@ -79,7 +81,8 @@ def matrix_in(field, rows, shape=None) -> Matrix:
                 out.append(dict(zip(idx, vals)))
                 continue
         out.append({j: x for j, v in enumerate(row)
-                    if (x := v % p if p and type(v) is int else parse(v))})
+                    if (x := v % p if p and type(v) is int
+                        else v != "0" and parse(v))})
     m = Matrix(field, len(rows), ncols, out)
     if shape is not None and m.shape != shape and m.nrows * m.ncols == 0:
         m = Matrix.zeros(field, *shape)

@@ -712,6 +712,35 @@ def test_nonzero_last_filtration_level_is_a_violation(tmp_path, capsys):
         "algebra is not a filtered algebra: F^-2 is not zero"
 
 
+def _dependent_filtration_document(tmp_path):
+    # F^{-1} listed as [x, x]: two columns that span a line
+    doc = json.loads((DOCS / "dual_numbers.json").read_text())
+    doc["filtered_algebras"]["dual"]["filtration"]["1"] = [["0", "0"],
+                                                          ["1", "1"]]
+    p = tmp_path / "dependent_level.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+def test_validate_dependent_filtration_columns(tmp_path, capsys):
+    from dgglue import cli
+    p = _dependent_filtration_document(tmp_path)
+    assert cli.main(["validate", "--in", str(p), "--param",
+                     "target=dual"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] is False and rep["violations"] == \
+        ["F^-1 has linearly dependent columns"]
+
+
+def test_auslander_of_dependent_filtration_columns_exits_1(tmp_path, capsys):
+    # was an internal error (exit 2): "unit fails on basis (0, 1, 1)"
+    from dgglue import cli
+    p = _dependent_filtration_document(tmp_path)
+    assert cli.main(["auslander", "--in", str(p)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == \
+        "algebra is not a filtered algebra: F^-1 has linearly dependent columns"
+
+
 @pytest.mark.parametrize("command", ["validate", "auslander", "proj-dgcat",
                                      "refine"])
 def test_product_with_extra_coordinates_exits_1(tmp_path, capsys, command):

@@ -194,6 +194,24 @@ def test_matrix_in_matches_reference(field, rows):
         assert got[0] is FieldError
 
 
+# Q rows as documents write them, mostly the string "0" that `matrix_in`
+# drops without a parse call, among other spellings of zero and bad scalars
+Q_ROWS = st.integers(0, 6).flatmap(lambda n: st.lists(st.lists(
+    st.one_of(st.just("0"), st.sampled_from(
+        ["0/5", "-0", 0, "3/4", "-2", 5, "x", "1/0", "", True, False, 1.5,
+         None])), min_size=n, max_size=n), max_size=4))
+
+
+@settings(max_examples=200)
+@given(rows=Q_ROWS)
+def test_matrix_in_zero_skip_matches_reference(rows):
+    got = _outcome(dio.matrix_in, QQ, rows)
+    assert got == _outcome(reference_matrix_in, QQ, rows)
+    bad = [v for row in rows for v in row
+           if type(v) not in (int, str) or v in ("x", "1/0", "")]
+    assert (got[0] is FieldError) == bool(bad)
+
+
 EDGE_ROWS = [
     [[0, 0, 0], [0, 0, 0]], [[1, 2, 6]], [[7, 14, -1]], [[-1, 0, 3]],
     [[0, -7, 0]], [[0, 2 ** 90, 3]],

@@ -1,0 +1,20 @@
+"""scripts/ladder.py on its smallest rung."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_ladder_script_smallest_rung():
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ladder.py"), "--m", "4",
+         "--n", "3"], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    rows = [line.split() for line in res.stdout.splitlines()[2:]]
+    assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+        (tag, "4", "3", command) for tag in ("Q", "F7")
+        for command in ("check-acyclic", "check-qff")]
+    for row in rows:
+        assert float(row[5]) > 0 and float(row[6]) > 0
