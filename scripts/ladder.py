@@ -10,9 +10,11 @@ extends each by identities to every requested n, and writes the documents
 into a temporary directory, over Q and over F_7.  Then it runs
 `check-acyclic` and `check-qff` on every rung, each in a fresh interpreter,
 REPEAT times, and prints per command the best wall time (interpreter start,
-import, read, decide, write) and the peak resident set size of the best run
-(getrusage(RUSAGE_CHILDREN) in a small timing interpreter that runs only the
-command).
+import, read, decide, write) and, of that best run, the peak resident set
+size (getrusage(RUSAGE_CHILDREN) in a small timing interpreter that runs only
+the command) and the command's own seconds, reading and deciding, from its
+report's `--timing` (`cmd_s`; `best_s` less `cmd_s` is mostly interpreter
+start-up and import).
 
 Stdlib only; this is a measurement, not a benchmark workload, and it checks
 only that every command exits 0 with verdict true.
@@ -73,19 +75,22 @@ print(code, wall, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 def run_once(command, path, out):
-    """(wall seconds, peak RSS in MiB) of one fresh-interpreter command."""
+    """(wall seconds, peak RSS in MiB, the report's timing seconds) of one
+    fresh-interpreter command."""
     line = subprocess.run(
         [sys.executable, "-c", TIMER, sys.executable, "-m", "dgglue.cli",
-         command, "--in", path, "--out", out],
+         command, "--in", path, "--out", out, "--timing"],
         env=dict(os.environ, PYTHONPATH=SRC), check=True, text=True,
         stdout=subprocess.PIPE).stdout.split()
     code, wall, rss = int(line[0]), float(line[1]), int(line[2])
     with open(out, encoding="utf-8") as fh:
-        verdict = json.load(fh).get("verdict")
+        report = json.load(fh)
+    verdict = report.get("verdict")
     if code != 0 or verdict is not True:
         raise SystemExit(f"{command} on {path}: exit {code}, "
                          f"verdict {verdict!r}")
-    return wall, rss / 1024         # ru_maxrss is in KiB on Linux
+    # ru_maxrss is in KiB on Linux
+    return wall, rss / 1024, report["timing"]["seconds"]
 
 
 def main(argv=None):
@@ -102,15 +107,15 @@ def main(argv=None):
               f"{time.perf_counter() - t0:.1f} s; best of {REPEAT} runs, "
               f"Python {sys.version.split()[0]}, nproc {os.cpu_count()}")
         print(f"{'field':5} {'m':>2} {'n':>2} {'doc_MB':>7} "
-              f"{'command':13} {'best_s':>7} {'peak_MiB':>8}")
+              f"{'command':13} {'best_s':>7} {'peak_MiB':>8} {'cmd_s':>7}")
         out = os.path.join(tmp, "report.json")
         for tag, m, n, path in rungs:
             size = os.path.getsize(path) / 1e6
             for command in COMMANDS:
-                wall, rss = min(run_once(command, path, out)
-                                for _ in range(REPEAT))
+                wall, rss, cmd = min(run_once(command, path, out)
+                                     for _ in range(REPEAT))
                 print(f"{tag:5} {m:2} {n:2} {size:7.2f} {command:13} "
-                      f"{wall:7.3f} {rss:8.1f}", flush=True)
+                      f"{wall:7.3f} {rss:8.1f} {cmd:7.3f}", flush=True)
     return 0
 
 

@@ -41,7 +41,7 @@ from .hypercube import (CubeError, check_acyclic_complexcube, extend,
                         extend_dg, stack, stack_dg, totalize)
 from .linalg import LinAlgError
 from .twisted import TwError
-from .io import DocumentError
+from .io import DocumentError, lookup
 
 CUBE_DIMENSION_CAP = 4
 
@@ -132,9 +132,9 @@ def _command(argv):
 def _read_input(path):
     try:
         if path is None:
-            return json.load(sys.stdin)
+            return dio.load_json(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return dio.load_json(fh.read())
     except json.JSONDecodeError:
         raise
     except (OSError, ValueError) as exc:
@@ -209,13 +209,13 @@ def run(command, doc, parallel=1, max_dim=64):
 
     if command == "cohomology":
         name = _param(doc, "complex")
-        c = _lookup(doc.complexes, name, "complex")
+        c = lookup(doc.complexes, name, "complex")
         report["table"] = _table(c.cohomology())
         return report
 
     if command == "totalize":
         name = _param(doc, "cube")
-        cube = _lookup(doc.complex_cubes, name, "complex cube")
+        cube = lookup(doc.complex_cubes, name, "complex cube")
         t = totalize(cube)
         report["complex"] = dio.complex_out(t)
         report["cohomology"] = _table(coh := t.cohomology())
@@ -228,7 +228,7 @@ def run(command, doc, parallel=1, max_dim=64):
             verdict = check_acyclic_complexcube(doc.complex_cubes[name])
             report.update({"kind": "complex_cube", "verdict": verdict})
             return report
-        cube = _lookup(doc.dg_cubes, name, "cube")
+        cube = lookup(doc.dg_cubes, name, "cube")
         _guard_dg_cube(cube, max_dim)
         ok, pairs = _cube_pairs("acyclic", doc, name, cube, parallel)
         report.update({"kind": "dg_cube", "verdict": ok, "pairs": pairs})
@@ -239,18 +239,18 @@ def run(command, doc, parallel=1, max_dim=64):
         second = _param(doc, "second")
         if first in doc.complex_cubes:
             a = doc.complex_cubes[first]
-            b = _lookup(doc.complex_cubes, second, "complex cube")
+            b = lookup(doc.complex_cubes, second, "complex cube")
             out = stack(a, b) if command == "stack" else extend(a, b)
             report["cube"] = dio.complex_cube_out(out, {})
             return report
-        a = _lookup(doc.dg_cubes, first, "cube")
-        b = _lookup(doc.dg_cubes, second, "cube")
+        a = lookup(doc.dg_cubes, first, "cube")
+        b = lookup(doc.dg_cubes, second, "cube")
         out = stack_dg(a, b) if command == "stack" else extend_dg(a, b)
         report["cube"] = _dg_cube_document(out)
         return report
 
     if command == "gac-hom":
-        cube = _lookup(doc.dg_cubes, _param(doc, "cube"), "cube")
+        cube = lookup(doc.dg_cubes, _param(doc, "cube"), "cube")
         _guard_dg_cube(cube, max_dim)
         g = gac(cube)
         src = _param(doc, "source")
@@ -263,13 +263,13 @@ def run(command, doc, parallel=1, max_dim=64):
         return report
 
     if command == "glue":
-        cube = _lookup(doc.dg_cubes, _param(doc, "cube"), "cube")
+        cube = lookup(doc.dg_cubes, _param(doc, "cube"), "cube")
         _guard_dg_cube(cube, max_dim)
         g = gac(cube)
         names = [s for s in str(_param(doc, "objects")).split(",") if s]
         tws = {}
         for name in names:
-            tdata = _lookup(doc.twisted_complexes, name, "twisted complex")
+            tdata = lookup(doc.twisted_complexes, name, "twisted complex")
             tws[name] = dio.twisted_in(field, tdata, g.category)
         cat = glue(g, tws)
         report["category"] = dio.category_out(cat)
@@ -277,7 +277,7 @@ def run(command, doc, parallel=1, max_dim=64):
 
     if command == "check-qff":
         name = _param(doc, "cube")
-        cube = _lookup(doc.dg_cubes, name, "cube")
+        cube = lookup(doc.dg_cubes, name, "cube")
         _guard_dg_cube(cube, max_dim)
         ok, pairs = _cube_pairs("qff", doc, name, cube, parallel)
         report.update({"verdict": ok, "pairs": pairs})
@@ -285,7 +285,7 @@ def run(command, doc, parallel=1, max_dim=64):
 
     if command == "hom-iso":
         name = _param(doc, "cube")
-        cube = _lookup(doc.dg_cubes, name, "cube")
+        cube = lookup(doc.dg_cubes, name, "cube")
         _guard_dg_cube(cube, max_dim)
         init = cube.initial()
         pairs = {}
@@ -303,7 +303,7 @@ def run(command, doc, parallel=1, max_dim=64):
         return report
 
     if command == "ext-table":
-        cat = _lookup(doc.categories, _param(doc, "category"), "category")
+        cat = lookup(doc.categories, _param(doc, "category"), "category")
         table = {}
         for (a, b), coh in sorted(ext_table(cat).items()):
             table[f"{a}|{b}"] = _table(coh)
@@ -311,7 +311,7 @@ def run(command, doc, parallel=1, max_dim=64):
         return report
 
     if command == "auslander":
-        alg = _lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
+        alg = lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
         bad = validate_filtration(alg, max_report=1)
         if bad:
             raise InputError(f"algebra is not a filtered algebra: {bad[0]}")
@@ -336,7 +336,7 @@ def run(command, doc, parallel=1, max_dim=64):
         return report
 
     if command == "refine":
-        alg = _lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
+        alg = lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
         d = _int_param(doc, "d")
         ideal = _ideal_from_params(doc, alg)
         refined = refine(alg, ideal, d)
@@ -345,9 +345,9 @@ def run(command, doc, parallel=1, max_dim=64):
         return report
 
     if command == "refine-square":
-        alg = _lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
-        alg2 = _lookup(doc.filtered_algebras, _param(doc, "algebra2"), "algebra")
-        fmap = _lookup(doc.algebra_maps, _param(doc, "map"), "algebra map")
+        alg = lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
+        alg2 = lookup(doc.filtered_algebras, _param(doc, "algebra2"), "algebra")
+        fmap = lookup(doc.algebra_maps, _param(doc, "map"), "algebra map")
         d = _int_param(doc, "d")
         ideal = _ideal_from_params(doc, alg)
         cube = refinement_square(alg, alg2, fmap, ideal, d)
@@ -355,18 +355,12 @@ def run(command, doc, parallel=1, max_dim=64):
         return report
 
     if command == "proj-dgcat":
-        alg = _lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
+        alg = lookup(doc.filtered_algebras, _param(doc, "algebra"), "algebra")
         cat = proj_dgcat(alg)
         report["category"] = dio.category_out(cat)
         return report
 
     raise InputError(f"unknown command {command!r}")
-
-
-def _lookup(table, name, kind):
-    if name not in table:
-        raise InputError(f"unresolved {kind} reference {name!r}")
-    return table[name]
 
 
 def _ideal_from_params(doc, alg):

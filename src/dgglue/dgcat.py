@@ -387,6 +387,9 @@ def compose_functors(g: DgFunctor, f: DgFunctor) -> DgFunctor:
 def functors_equal(f: DgFunctor, g: DgFunctor) -> bool:
     if f.obj_map != g.obj_map:
         return False
+    if f.hom_maps is g.hom_maps and f.source is g.source and \
+            f.target is g.target:
+        return True
     for a in f.source.objects:
         for b in f.source.objects:
             for k in f.source.hom(a, b).degrees():

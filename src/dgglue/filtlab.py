@@ -98,9 +98,14 @@ class FilteredAlgebra:
         """Coordinates in the F^s basis B of the columns of x.
 
         As from `solve`: zero off the pivot columns P of B, unique on them.
-        Each clamped level caches B and a left inverse L of B_P (zero rows
-        off P); a call is L x and the membership check B (L x) == x.
+        A call is L x and the membership check B (L x) == x, with B and L
+        from `_membership`.
         """
+        return span_coords(*self._membership(s), s, x)
+
+    def _membership(self, s: int) -> tuple:
+        """(B, L): the basis B of F^s and a left inverse L of B_P (zero rows
+        off the pivot columns P of B), cached per clamped level."""
         level = max(min(s, 0), -self.length)
         cached = self._membership_cache.get(level)
         if cached is None:
@@ -115,13 +120,7 @@ class FilteredAlgebra:
             left = Matrix(self.field, basis.ncols, self.dim,
                           [rows.get(j, {}) for j in range(basis.ncols)])
             cached = self._membership_cache[level] = (basis, left)
-        basis, left = cached
-        if x.nrows != self.dim:
-            raise LinAlgError("solve: row mismatch")  # as `solve` refuses it
-        coords = left @ x
-        if basis @ coords != x:
-            raise FiltError(f"vector is not in F^{s}")
-        return coords
+        return cached
 
     def quot(self, s: int, t: int) -> "FiltQuot":
         """The quotient F^s / F^t with a deterministic complement basis."""
@@ -135,20 +134,34 @@ class FilteredAlgebra:
         if inside is None:
             raise FiltError(f"F^{t} is not contained in F^{s}")
         proj, lift = quotient_maps(self.field, bs.ncols, inside)
-        q = FiltQuot(self, s, t, bs, proj, lift, proj.nrows, bs @ lift)
+        q = FiltQuot(s, t, bs, self._membership(s)[1], proj, lift, proj.nrows,
+                     bs @ lift)
         self._quot_cache[key] = q
         return q
+
+
+def span_coords(basis: Matrix, left: Matrix, s: int, x: Matrix) -> Matrix:
+    """`left @ x`, the coordinates of the columns of x in the F^s basis
+    `basis` of which `left` is a left inverse, checked to be in F^s."""
+    if x.nrows != left.ncols:
+        raise LinAlgError("solve: row mismatch")  # as `solve` refuses it
+    coords = left @ x
+    if basis @ coords != x:
+        raise FiltError(f"vector is not in F^{s}")
+    return coords
 
 
 @dataclass
 class FiltQuot:
     """F^s / F^t with projection/lift relative to the F^s basis; the
-    columns of `ambient` (basis @ lift) are the quotient basis in the algebra."""
+    columns of `ambient` (basis @ lift) are the quotient basis in the algebra.
+    It holds the F^s membership data (`left`) instead of its algebra, which
+    caches it, so that the two form no reference cycle."""
 
-    alg: FilteredAlgebra
     s: int
     t: int
     basis: Matrix
+    left: Matrix
     proj: Matrix
     lift: Matrix
     dim: int
@@ -156,7 +169,7 @@ class FiltQuot:
 
     def from_ambient(self, x: Matrix) -> Matrix:
         """Quotient coordinates of the columns of x, each in F^s."""
-        return self.proj @ self.alg.fil_coords(self.s, x)
+        return self.proj @ span_coords(self.basis, self.left, self.s, x)
 
     def to_ambient(self, coords):
         return self.ambient.apply(coords)

@@ -375,11 +375,12 @@ class DgCube:
                 bad = validate_functor(e)
                 if bad:
                     return f"dg edge ({sorted(I)},{l}): {bad[0]}"
-        # identity-extended cubes repeat edge functors, hence face composites
+        # identity-extended cubes repeat edge functors, hence face composites;
+        # a parsed document gives each name its own copy of a repeated functor
         composites = {}
 
         def composite(g, f):
-            key = (id(g), id(f))
+            key = (_functor_key(g), _functor_key(f))
             if key not in composites:
                 composites[key] = compose_functors(g, f)
             return composites[key]
@@ -430,6 +431,13 @@ class DgCube:
                                             self.push_functor(start, prev))
             self._pushes[(start, I)] = push
         return push
+
+
+def _functor_key(f: DgFunctor) -> tuple:
+    """Equal for functors sharing their matrices, endpoints and object map,
+    such as the copies `io` makes of a functor repeated under several names."""
+    return (id(f.hom_maps), id(f.source), id(f.target),
+            tuple(f.obj_map.items()))
 
 
 def bimodule_cube(cube: DgCube, a, b, shape=None, a_vertex=frozenset(),

@@ -8,7 +8,8 @@ keys are "I|l".  Every encoder/decoder pair round-trips structurally.
 Reports and documents are written by `dump_json`, whose bytes are exactly
 `json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)`: str-keyed
 dicts and non-empty lists are walked in Python, all-int and all-str lists are
-joined at C speed, and every other value falls back to `json.dumps` itself.
+joined at C speed, strings, ints, `true`, `false`, `null`, `{}` and `[]`
+are written directly, and every other value falls back to `json.dumps`.
 """
 
 from __future__ import annotations
@@ -104,6 +105,13 @@ def _items(data, key, kind, default=None):
     """The (name, value) pairs of the object data[key], each value of `kind`."""
     table = _get(data, key, dict, default)
     return [(name, _get(table, name, kind)) for name in table]
+
+
+def lookup(table, name, kind):
+    """table[name], the entity a reference names, or DocumentError."""
+    if type(name) is not str or name not in table:
+        raise DocumentError(f"unresolved {kind} reference {name!r}")
+    return table[name]
 
 
 def _int(x) -> int:
@@ -307,12 +315,12 @@ def dg_cube_out(cube: DgCube, cat_names: dict, fun_names: dict):
 
 def dg_cube_in(field, data, categories: dict, functors: dict) -> DgCube:
     n = _int(data["n"])
-    vertices = {subset_in(k): categories[v]
+    vertices = {subset_in(k): lookup(categories, v, "category")
                 for k, v in _get(data, "vertices", dict).items()}
     edges = {}
     for key, fname in _get(data, "edges", dict).items():
         ikey, l = _split(key, "|", 2)
-        edges[(subset_in(ikey), _int(l))] = functors[fname]
+        edges[(subset_in(ikey), _int(l))] = lookup(functors, fname, "functor")
     return DgCube(field, n, vertices, edges, validate=True, deep_validate=False)
 
 
@@ -463,7 +471,8 @@ def _parse_once(items, parse) -> dict:
     """{name: parse(raw)} over (name, raw) items, parsing equal raw JSON once.
 
     Identity-extended cubes repeat a vertex category or an edge functor under
-    several names, and `==` on decoded JSON runs at C speed.  A functor's
+    several names.  `load_json` gives repeated members one dict, so `is`
+    finds them; `==` on decoded JSON, at C speed, finds the rest.  A functor's
     JSON names its endpoints, so equal JSON means equal endpoints.  Each name
     still gets its own (shallow-copied) object over the shared tables, which
     nothing mutates: a cube written back out by `cli._dg_cube_document` names
@@ -472,7 +481,7 @@ def _parse_once(items, parse) -> dict:
     out = {}
     parsed = []
     for name, raw in items:
-        value = next((v for r, v in parsed if r == raw), None)
+        value = next((v for r, v in parsed if r is raw or r == raw), None)
         if value is None:
             value = parse(raw)
             parsed.append((raw, value))
@@ -480,6 +489,78 @@ def _parse_once(items, parse) -> dict:
             value = copy.copy(value)
         out[name] = value
     return out
+
+
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+_space = json.decoder.WHITESPACE.match
+_scanstring = json.decoder.scanstring
+
+
+def load_json(text: str):
+    """`json.loads(text)`, decoding each repeated category or functor once.
+
+    The top-level object and the members of "categories" and "functors" are
+    walked here with the stdlib's C scanner.  A JSON object is
+    self-delimiting, so a member object whose text begins with the exact
+    text of an earlier member object decodes to an equal value: it is not
+    decoded again, and both names get one dict.  Any other text, and every
+    error, is left to `json.loads`, whose values, exceptions and messages
+    are the result.
+    """
+    try:
+        start = _space(text, 0).end()
+        if text.startswith("{", start):
+            doc, end = _object(text, start, _shared_member)
+            if _space(text, end).end() == len(text):
+                return doc
+    # what the walk or the scanner raises on text json.loads rejects (or on
+    # nesting too deep), so that json.loads raises it as its own
+    except (ValueError, IndexError, StopIteration, RecursionError):
+        pass
+    return json.loads(text)
+
+
+def _object(text, i, member):
+    """(the object at text[i] == "{", the index after it); each member's
+    value and end come from member(text, key, index of the value)."""
+    out = {}
+    i = _space(text, i + 1).end()
+    if text[i] == "}":
+        return out, i + 1
+    while True:
+        if text[i] != '"':
+            raise ValueError(i)
+        key, i = _scanstring(text, i + 1)
+        i = _space(text, i).end()
+        if text[i] != ":":
+            raise ValueError(i)
+        out[key], i = member(text, key, _space(text, i + 1).end())
+        i = _space(text, i).end()
+        if text[i] == "}":
+            return out, i + 1
+        if text[i] != ",":
+            raise ValueError(i)
+        i = _space(text, i + 1).end()
+
+
+def _shared_member(text, key, i):
+    """A top-level member's value and end; "categories" and "functors" are
+    walked member by member, each repeated member object reusing the dict
+    of its first occurrence."""
+    if key in ("categories", "functors") and text.startswith("{", i):
+        seen = []       # (text, value) of each distinct member object
+
+        def member(text, key, i):
+            if not text.startswith("{", i):
+                return _scan(text, i)
+            for raw, value in seen:
+                if text.startswith(raw, i):
+                    return value, i + len(raw)
+            value, end = _scan(text, i)
+            seen.append((text[i:end], value))
+            return value, end
+        return _object(text, i, member)
+    return _scan(text, i)
 
 
 def parse_document(data, default_field=None) -> Document:
@@ -500,11 +581,12 @@ def parse_document(data, default_field=None) -> Document:
                                  lambda c: category_in(field, c))
     doc.functors = _parse_once(
         _items(data, "functors", dict, {}),
-        lambda f: functor_in(field, f, doc.categories[f["source"]],
-                             doc.categories[f["target"]]))
+        lambda f: functor_in(field, f,
+                             lookup(doc.categories, f["source"], "category"),
+                             lookup(doc.categories, f["target"], "category")))
     for name, mdata in _items(data, "graded_maps", dict, {}):
-        src = doc.complexes[mdata["source"]]
-        tgt = doc.complexes[mdata["target"]]
+        src = lookup(doc.complexes, mdata["source"], "complex")
+        tgt = lookup(doc.complexes, mdata["target"], "complex")
         doc.graded_maps[name] = graded_map_in(field, mdata, src, tgt)
     for name, cdata in _items(data, "complex_cubes", dict, {}):
         doc.complex_cubes[name] = complex_cube_in(field, cdata)
@@ -514,11 +596,11 @@ def parse_document(data, default_field=None) -> Document:
     for name, adata in _items(data, "filtered_algebras", dict, {}):
         doc.filtered_algebras[name] = algebra_in(field, adata)
     for name, mdata in _items(data, "modules", dict, {}):
-        alg = doc.filtered_algebras[mdata["algebra"]]
+        alg = lookup(doc.filtered_algebras, mdata["algebra"], "algebra")
         doc.modules[name] = module_in(field, mdata, alg)
     for name, fdata in _items(data, "algebra_maps", dict, {}):
-        src = doc.filtered_algebras[fdata["source"]]
-        tgt = doc.filtered_algebras[fdata["target"]]
+        src = lookup(doc.filtered_algebras, fdata["source"], "algebra")
+        tgt = lookup(doc.filtered_algebras, fdata["target"], "algebra")
         doc.algebra_maps[name] = algebra_map_in(field, fdata, src, tgt)
     # twisted complexes may live over constructed categories (e.g. the
     # generalized arrow category of a named cube), so they stay raw here and
@@ -533,24 +615,34 @@ def dump_json(obj) -> str:
     The bytes are exactly those, written mostly at C speed: dicts with only
     `str` keys are walked here with sorted keys, non-empty lists element by
     element, and a list holding only `int`s or only `str`s (never `bool`) is
-    one join of `int.__repr__` or `encode_basestring_ascii`.  Every other
-    value (floats, `bool`, `None`, empty containers, dicts with other keys)
-    is a `json.dumps` call re-indented to its depth.
+    one join of `int.__repr__` or `encode_basestring_ascii`.  A lone `str`,
+    `int`, `bool` or `None` and an empty dict or list are written directly,
+    without building an encoder and its reference cycles.  Every other value
+    (floats, dicts with other keys) is a `json.dumps` call re-indented to
+    its depth.
     """
     return _dump(obj, "\n")
 
 
 _escape = json.encoder.encode_basestring_ascii
+# scalars as json.dumps writes them, without building an encoder
+_LEAVES = {str: _escape, int: int.__repr__, type(None): lambda o: "null",
+           bool: {True: "true", False: "false"}.__getitem__}
 
 
 def _dump(o, indent):
     """`o` as `dump_json` writes it at the depth whose line break is `indent`."""
+    leaf = _LEAVES.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    if type(o) in (dict, list) and not o:
+        return "{}" if type(o) is dict else "[]"
     inner = indent + " "
-    if type(o) is dict and o and all(type(k) is str for k in o):
+    if type(o) is dict and all(type(k) is str for k in o):
         body = ("," + inner).join([_escape(k) + ": " + _dump(o[k], inner)
                                    for k in sorted(o)])
         return "{" + inner + body + indent + "}"
-    if type(o) is list and o:
+    if type(o) is list:
         kinds = set(map(type, o))
         if kinds == {int}:
             body = ("," + inner).join(map(int.__repr__, o))

@@ -36,7 +36,11 @@ def in_fil(alg, s, vec):
 
 def fil_coords(alg, s, vec):
     """Coordinates of an ambient vector in the F^s basis of `alg`."""
-    sol = alg.fil(s).solve(Matrix.column(alg.field, vec))
+    return _basis_coords(alg.fil(s), s, vec)
+
+
+def _basis_coords(basis, s, vec):
+    sol = basis.solve(Matrix.column(basis.field, vec))
     if sol is None:
         raise FiltError(f"vector is not in F^{s}")
     return tuple(x for row in sol.to_lists() for x in row)
@@ -47,7 +51,7 @@ def to_ambient(q, coords):
 
 
 def from_ambient(q, vec):
-    return q.proj.apply(fil_coords(q.alg, q.s, vec))
+    return q.proj.apply(_basis_coords(q.basis, q.s, vec))
 
 
 def _unit(field, n, i):

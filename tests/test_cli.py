@@ -414,6 +414,54 @@ def test_module_with_too_few_dims_exits_1(tmp_path):
     assert "needs 3 dims" in json.loads(res.stdout)["error"]
 
 
+def _unresolved(document, section, name, key, sub=None):
+    """A bundled document, or one that `document()` builds, with the
+    reference at [section][name][key]([sub]) made to name nothing."""
+    doc = document() if callable(document) else \
+        json.loads((DOCS / document).read_text())
+    entry = doc[section][name]
+    if sub is None:
+        entry[key] = "nope"
+    else:
+        entry[key][sub] = "nope"
+    return doc
+
+
+def _graded_map_document():
+    return {"field": "Q", "complexes": {"c": {"dims": {"0": 1}}},
+            "graded_maps": {"g": {"source": "c", "target": "c"}}}
+
+
+@pytest.mark.parametrize("doc, kind", [
+    (_unresolved("refinement_square.json", "functors", "edge_o_0", "source"),
+     "category"),
+    (_unresolved("refinement_square.json", "functors", "edge_o_0", "target"),
+     "category"),
+    (_unresolved(_graded_map_document, "graded_maps", "g", "source"),
+     "complex"),
+    (_unresolved(_graded_map_document, "graded_maps", "g", "target"),
+     "complex"),
+    (_unresolved("refinement_square.json", "dg_cubes", "square", "vertices",
+                 "0"), "category"),
+    (_unresolved("refinement_square.json", "dg_cubes", "square", "edges",
+                 "|0"), "functor"),
+    (_unresolved(_module_document, "modules", "m", "algebra"), "algebra"),
+    (_unresolved("refine_square_input.json", "algebra_maps", "quot",
+                 "source"), "algebra"),
+    (_unresolved("refine_square_input.json", "algebra_maps", "quot",
+                 "target"), "algebra"),
+], ids=["functor-source", "functor-target", "graded-map-source",
+        "graded-map-target", "cube-vertex", "cube-edge", "module-algebra",
+        "algebra-map-source", "algebra-map-target"])
+def test_unresolved_reference_exits_1(tmp_path, doc, kind):
+    p = tmp_path / "unresolved.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli(["validate", "--in", str(p), "--param", "target=x"])
+    _assert_input_error(res)
+    assert json.loads(res.stdout)["error"] == \
+        f"unresolved {kind} reference 'nope'"
+
+
 def test_max_dim_guard(tmp_path):
     res = run_cli(["check-qff", "--in", str(DOCS / "refinement_square.json"),
                    "--max-dim", "1"])

@@ -1,8 +1,9 @@
 """A command runs with the cyclic garbage collector off.
 
 `cli.main` disables the collector for the whole command and restores the
-caller's state on every exit path, and the Gac holds no reference cycle, so
-reference counting alone frees it once dropped.
+caller's state on every exit path.  The Gac, a filtered algebra with its
+cached quotients, and the writing of a report make no reference cycle, so
+reference counting alone frees what they leave once dropped.
 """
 
 import gc
@@ -14,10 +15,21 @@ import pytest
 
 from dgglue import cli
 from dgglue import io as dio
+from dgglue import filtlab
 from dgglue.glue import GacCategory, gac
 
 DOCS = Path(__file__).resolve().parents[1] / "documents"
 SQUARE = str(DOCS / "refinement_square.json")
+
+
+@pytest.fixture
+def collector_off():
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if was:
+        gc.enable()
 
 
 def _internal_error(monkeypatch):
@@ -98,3 +110,41 @@ def test_pool_worker_disables_collector(monkeypatch):
             gc.enable()
         else:
             gc.disable()
+
+
+def test_dropped_algebra_is_freed_without_the_collector(collector_off):
+    raw = json.loads((DOCS / "dual_numbers.json").read_text())
+    alg = dio.parse_document(raw).filtered_algebras["dual"]
+    q = alg.quot(0, -2)
+    assert q.from_ambient(q.ambient) == q.proj @ alg.fil_coords(0, q.ambient)
+    ref = weakref.ref(alg)
+    del alg
+    assert ref() is None
+
+
+def test_refine_square_frees_its_algebras(monkeypatch, collector_off,
+                                          tmp_path):
+    refs = []
+    init = filtlab.FilteredAlgebra.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+    monkeypatch.setattr(filtlab.FilteredAlgebra, "__init__", tracked)
+    assert cli.main(["refine-square", "--in",
+                     str(DOCS / "refine_square_input.json"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    # the two parsed algebras and the refinements the square builds
+    assert len(refs) >= 3
+    assert all(ref() is None for ref in refs)
+
+
+def test_dump_json_makes_no_cycles(collector_off):
+    doc = dio.parse_document(json.loads(Path(SQUARE).read_text()))
+    report = cli.run("check-qff", doc)
+    assert report["verdict"] is True and report["pairs"]
+    gc.collect()
+    text = dio.dump_json(report)
+    assert gc.collect() == 0
+    assert text == json.dumps(report, sort_keys=True, separators=(",", ": "),
+                              indent=1)

@@ -18,3 +18,5 @@ def test_ladder_script_smallest_rung():
         for command in ("check-acyclic", "check-qff")]
     for row in rows:
         assert float(row[5]) > 0 and float(row[6]) > 0
+        # the command's own seconds, inside its interpreter's wall time
+        assert 0 < float(row[7]) <= float(row[5])
