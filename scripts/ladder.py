@@ -14,7 +14,10 @@ import, read, decide, write) and, of that best run, the peak resident set
 size (getrusage(RUSAGE_CHILDREN) in a small timing interpreter that runs only
 the command) and the command's own seconds, reading and deciding, from its
 report's `--timing` (`cmd_s`; `best_s` less `cmd_s` is mostly interpreter
-start-up and import).
+start-up and import).  Next to `check-qff`'s `cmd_s` it prints `validate_s`:
+the `--timing` seconds of `validate --param target=NAME`, best of REPEAT,
+summed over one name per distinct vertex-category text of the rung (the
+cost of deep validation, to set beside that of the decision).
 
 Stdlib only; this is a measurement, not a benchmark workload, and it checks
 only that every command exits 0 with verdict true.
@@ -74,12 +77,12 @@ print(code, wall, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def run_once(command, path, out):
+def run_once(command, path, out, *params):
     """(wall seconds, peak RSS in MiB, the report's timing seconds) of one
     fresh-interpreter command."""
     line = subprocess.run(
         [sys.executable, "-c", TIMER, sys.executable, "-m", "dgglue.cli",
-         command, "--in", path, "--out", out, "--timing"],
+         command, "--in", path, "--out", out, "--timing", *params],
         env=dict(os.environ, PYTHONPATH=SRC), check=True, text=True,
         stdout=subprocess.PIPE).stdout.split()
     code, wall, rss = int(line[0]), float(line[1]), int(line[2])
@@ -87,10 +90,23 @@ def run_once(command, path, out):
         report = json.load(fh)
     verdict = report.get("verdict")
     if code != 0 or verdict is not True:
-        raise SystemExit(f"{command} on {path}: exit {code}, "
-                         f"verdict {verdict!r}")
+        raise SystemExit(f"{command} {' '.join(params)} on {path}: "
+                         f"exit {code}, verdict {verdict!r}")
     # ru_maxrss is in KiB on Linux
     return wall, rss / 1024, report["timing"]["seconds"]
+
+
+def validate_seconds(path, out):
+    """Summed `--timing` seconds, best of REPEAT each, of validating one
+    category name per distinct category text of the document."""
+    with open(path, encoding="utf-8") as fh:
+        categories = json.load(fh)["categories"]
+    names = {}
+    for name, cat in categories.items():
+        names.setdefault(json.dumps(cat, sort_keys=True), name)
+    return sum(min(run_once("validate", path, out, "--param",
+                            f"target={name}")[2] for _ in range(REPEAT))
+               for name in names.values())
 
 
 def main(argv=None):
@@ -107,15 +123,19 @@ def main(argv=None):
               f"{time.perf_counter() - t0:.1f} s; best of {REPEAT} runs, "
               f"Python {sys.version.split()[0]}, nproc {os.cpu_count()}")
         print(f"{'field':5} {'m':>2} {'n':>2} {'doc_MB':>7} "
-              f"{'command':13} {'best_s':>7} {'peak_MiB':>8} {'cmd_s':>7}")
+              f"{'command':13} {'best_s':>7} {'peak_MiB':>8} {'cmd_s':>7} "
+              f"{'validate_s':>10}")
         out = os.path.join(tmp, "report.json")
         for tag, m, n, path in rungs:
             size = os.path.getsize(path) / 1e6
             for command in COMMANDS:
                 wall, rss, cmd = min(run_once(command, path, out)
                                      for _ in range(REPEAT))
+                valid = (f"{validate_seconds(path, out):10.3f}"
+                         if command == "check-qff" else f"{'-':>10}")
                 print(f"{tag:5} {m:2} {n:2} {size:7.2f} {command:13} "
-                      f"{wall:7.3f} {rss:8.1f} {cmd:7.3f}", flush=True)
+                      f"{wall:7.3f} {rss:8.1f} {cmd:7.3f} {valid}",
+                      flush=True)
     return 0
 
 

@@ -423,15 +423,26 @@ def _validate_target(doc, target, max_dim):
 
 
 def _dg_cube_document(cube, params=None):
-    """A self-contained document fragment for a dg cube."""
+    """A self-contained document fragment for a dg cube.
+
+    A vertex category repeated under several names (one object, or the
+    copies `io` makes of it, which share its tables) is written once, and
+    the names share that dict: pickling sends it once, and `io._parse_once`
+    finds it by identity.
+    """
     cat_names = {}
     fun_names = {}
     categories = {}
     functors = {}
+    written = {}
     for I in sorted(cube.vertices, key=lambda s: (len(s), sorted(s))):
         name = f"cat_{dio.subset_out(I) or 'o'}"
-        cat_names[id(cube.vertices[I])] = name
-        categories[name] = dio.category_out(cube.vertices[I])
+        cat = cube.vertices[I]
+        cat_names[id(cat)] = name
+        key = (id(cat._hom), id(cat._comp), id(cat.ids), cat.objects)
+        if key not in written:
+            written[key] = dio.category_out(cat)
+        categories[name] = written[key]
     for (I, l), e in sorted(cube.edges.items(),
                             key=lambda kv: (sorted(kv[0][0]), kv[0][1])):
         name = f"edge_{dio.subset_out(I) or 'o'}_{l}"

@@ -362,10 +362,12 @@ class Matrix:
         return self._echelon(reduced=False)[1]
 
     def inverse(self) -> "Matrix":
+        """The inverse of a square matrix: a solution X of A X = I, which
+        exists exactly when A is invertible (and is then A^-1)."""
         if self.nrows != self.ncols:
             raise LinAlgError("inverse of non-square matrix")
         sol = self.solve(Matrix.identity(self.field, self.nrows))
-        if sol is None or self.rank() != self.nrows:
+        if sol is None:
             raise LinAlgError("matrix is singular")
         return sol
 

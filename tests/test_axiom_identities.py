@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_dgcat as ref
-from dgglue.dgcat import (DgCategory, DgFunctor, identity_functor,
+from dgglue import dgcat
+from dgglue.complexes import Complex
+from dgglue.dgcat import (DgCategory, DgError, DgFunctor, identity_functor,
                           validate_category, validate_functor)
 from dgglue.fields import QQ, PrimeField
 from dgglue.filtlab import FilteredAlgebra, proj_dgcat
 from dgglue.glue import gac
-from dgglue.linalg import Matrix
+from dgglue.linalg import Matrix, mul_kron
 from dgglue.samples import (random_commutative_algebra_category,
                             random_dg_cube, random_directed_env,
                             random_filtered_algebra, random_matrix,
@@ -22,6 +24,7 @@ from dgglue.samples import (random_commutative_algebra_category,
 
 FIELDS = pytest.mark.parametrize("field", [PrimeField(7), QQ],
                                  ids=["F7", "Q"])
+KINDS = ["algebra", "directed", "gac", "proj", "square"]
 
 
 def _copy(m):
@@ -173,6 +176,112 @@ def test_heavy_corruption_hits_the_report_cap(field):
     assert len(full) > 20
     assert validate_functor(F, max_report=10 ** 6) == full
     assert validate_functor(F) == full[:20]
+
+
+def _with(cat, hom=None, comp=None, ids=None):
+    """A copy of cat with some hom complexes, its composition or its
+    identities replaced."""
+    objs = cat.objects
+    homs = {(a, b): cat.hom(a, b) for a in objs for b in objs}
+    homs.update(hom or {})
+    return DgCategory(cat.field, objs, homs, comp or cat.comp_matrix,
+                      ids or cat.ids)
+
+
+@FIELDS
+@pytest.mark.parametrize("kind", KINDS)
+def test_valid_category_is_decided_by_the_identities(field, kind):
+    """A valid category is decided by at most six products, whatever its
+    size, and walks no element."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mul_kron(*args)
+
+    for seed in range(3):
+        cat = make_category(kind, field, random.Random(seed))
+        calls.clear()
+        with mock.patch.object(dgcat, "mul_kron", counted):
+            got, walks = validate_counting_walks(validate_category, cat, [cat])
+        assert got == [] and walks == 0
+        assert len(calls) <= 6
+
+
+@FIELDS
+def test_leibniz_only_corruption_matches_reference(field):
+    """Scaling one hom complex's differential by 2 keeps d^2 = 0, the units
+    and associativity, and breaks only Leibniz, which the identity path
+    must hand to the walk."""
+    two = field.add(field.one, field.one)
+    seen = 0
+    for seed in range(40):
+        if seen >= 3:
+            break
+        # three components, so that hom(0, 2) receives compositions
+        cat = random_directed_env(field, random.Random(seed), 3)[0]
+        for (a, b) in [(a, b) for a in cat.objects for b in cat.objects
+                       if cat.hom(a, b).diffs]:
+            h = cat.hom(a, b)
+            scaled = Complex(field, h.dims,
+                             {k: m.scaled(two) for k, m in h.diffs.items()})
+            bad = _with(cat, hom={(a, b): scaled})
+            expected = ref.validate_category(bad)
+            assert validate_category(bad) == expected
+            assert all(msg.startswith("Leibniz fails") for msg in expected)
+            seen += bool(expected)
+    assert seen
+
+
+@FIELDS
+@pytest.mark.parametrize("rows, fails", [
+    ([[1, 0, 0, 0], [0, 1, 0, 0]], "right"),
+    ([[1, 0, 0, 0], [0, 0, 1, 0]], "left"),
+], ids=["g f = g0 f", "g f = g f0"])
+def test_one_sided_unit_matches_reference(field, rows, fails):
+    """On k^2 in degree 0, g f = g_0 f and g f = g f_0 are associative, and
+    e = (1, 0) is a unit on one side only: neither unit identity follows
+    from the others."""
+    hom = Complex(field, {0: 2}, {})
+    cat = DgCategory(field, ["*"], {("*", "*"): hom},
+                     {("*", "*", "*"): {(0, 0): Matrix.from_rows(field, rows)}},
+                     {"*": (field.one, field.zero)})
+    expected = [f"{fails} unit fails on hom('*','*') deg 0"]
+    assert validate_category(cat) == ref.validate_category(cat) == expected
+
+
+@FIELDS
+@pytest.mark.parametrize("kind", KINDS)
+def test_malformed_category_matches_reference(field, kind):
+    """An identity of the wrong length is reported, not raised; a
+    composition table of the wrong shape raises the walk's own error."""
+    cat = make_category(kind, field, random.Random(3))
+    a = cat.objects[0]
+    # on an object with no morphisms the reference reaches no composition
+    lone = DgCategory(field, (*cat.objects, "z"),
+                      {(x, y): cat.hom(x, y) for x in cat.objects
+                       for y in cat.objects},
+                      cat.comp_matrix, {**cat.ids, "z": (field.one,)})
+    assert validate_category(lone) == ref.validate_category(lone) == \
+        ["identity of 'z' has wrong length"]
+    # on a live object the reference raises; the per-tuple walk reports it
+    longer = _with(cat, ids={**cat.ids, a: (*cat.ids[a], field.one)})
+    got = validate_category(longer)
+    assert got[0] == f"identity of {a!r} has wrong length"
+    assert not any(msg.startswith(("left unit", "right unit"))
+                   and f"hom({a!r}," in msg for msg in got)
+    key = (a, a, a, 0, 0)
+    m = cat.comp_matrix(*key)
+
+    def comp(*k):
+        if k == key:
+            return Matrix.zeros(field, m.nrows, m.ncols + 1)
+        return cat.comp_matrix(*k)
+
+    wide = _with(cat, comp=comp)
+    outcome = _outcome(validate_category, wide)
+    assert outcome == _outcome(ref.validate_category, wide)
+    assert outcome[0] is DgError
 
 
 def _outcome(fn, *args):

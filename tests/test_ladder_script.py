@@ -1,4 +1,6 @@
-"""scripts/ladder.py on its smallest rung."""
+"""scripts/ladder.py on its smallest rung.  The script exits non-zero
+unless every command, each `validate` included, exits 0 with verdict
+true."""
 
 import subprocess
 import sys
@@ -20,3 +22,8 @@ def test_ladder_script_smallest_rung():
         assert float(row[5]) > 0 and float(row[6]) > 0
         # the command's own seconds, inside its interpreter's wall time
         assert 0 < float(row[7]) <= float(row[5])
+        # deep validation of the rung's distinct vertex categories
+        if row[4] == "check-qff":
+            assert float(row[8]) > 0
+        else:
+            assert row[8] == "-"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import reference_linalg as ref
 
 from dgglue.fields import MR_BOUND, QQ, PrimeField, FieldError, _is_prime
-from dgglue.linalg import Matrix, kron, quotient_maps
+from dgglue.linalg import LinAlgError, Matrix, kron, quotient_maps
 from dgglue.samples import random_invertible, random_matrix, rng
 
 
@@ -105,6 +105,28 @@ def test_inverse_roundtrip():
             n = r.randrange(1, 5)
             m = random_invertible(field, r, n)
             assert m @ m.inverse() == Matrix.identity(field, n)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["F7", "Q"])
+def test_inverse_matches_reference_solve(field):
+    """inverse() is the reference kernel's solution of A X = I, and a
+    singular or non-square matrix raises."""
+    r = rng(23)
+    for _ in range(25):
+        n = r.randrange(0, 9)
+        m = random_invertible(field, r, n)
+        inv = m.inverse()
+        eye = Matrix.identity(field, n)
+        assert inv.to_lists() == ref.solve(field, m.rows, n, eye.rows, n)
+        assert m @ inv == eye and inv @ m == eye
+    singular = [Matrix.zeros(field, 1, 1), Matrix.from_rows(field, [[1, 2], [2, 4]]),
+                random_matrix(field, r, 4, 3) @ random_matrix(field, r, 3, 4)]
+    for m in singular:
+        with pytest.raises(LinAlgError, match="^matrix is singular$"):
+            m.inverse()
+    for shape in ((2, 3), (3, 2), (0, 1)):
+        with pytest.raises(LinAlgError, match="non-square"):
+            Matrix.zeros(field, *shape).inverse()
 
 
 def test_block_and_stack():

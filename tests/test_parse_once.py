@@ -11,20 +11,26 @@ from pathlib import Path
 import pytest
 
 from conftest import collapse_square
+from dgglue import cli
+from dgglue import io as dio
 from dgglue.cli import _dg_cube_document
-from dgglue.fields import QQ
+from dgglue.fields import QQ, PrimeField
 from dgglue.io import parse_document
 from dgglue.samples import _extend_by_identity
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "documents"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import inputs  # noqa: E402
 
 
 def _collapse_doc():
     """The collapse square twice over.  Its document repeats the JSON of
     "cat_1" as "cat_o", of "cat_0,1" as "cat_0" and of "edge_1_0" as
-    "edge_o_0"; the cubes name only the first of each pair."""
-    doc = _dg_cube_document(collapse_square(QQ))
+    "edge_o_0"; the cubes name only the first of each pair.  Each category
+    name gets its own dict, as `json.loads` reads them, so that a test may
+    change one of a repeated pair; the two cubes are one dict."""
+    doc = json.loads(json.dumps(_dg_cube_document(collapse_square(QQ))))
     doc["dg_cubes"]["square2"] = doc["dg_cubes"]["square"]
     return doc
 
@@ -96,6 +102,25 @@ def test_changed_entry_stops_sharing():
     # the unchanged repeat still shares
     assert doc.categories["cat_o"].hom("*", "*") is \
         doc.categories["cat_1"].hom("*", "*")
+
+
+def test_roundtrip_writes_each_vertex_table_once(monkeypatch):
+    """The benchmark's ladder-F7-m4-n3 document names 8 vertex categories
+    over 4 distinct tables; the document sent to a pool writes each table
+    once, and its repeated names share that dict."""
+    cube = _extend_by_identity(inputs.ladder_square(PrimeField(7), 4))
+    text = dio.dump_json(inputs._dg_cube_doc(cube))
+    doc = parse_document(dio.load_json(text))
+    calls = []
+    category_out = dio.category_out
+    monkeypatch.setattr(dio, "category_out",
+                        lambda cat: calls.append(cat) or category_out(cat))
+    raw = cli._document_roundtrip(doc, "cube3")
+    cats = raw["categories"]
+    assert len(cats) == 8 and len(calls) == 4
+    assert len({id(c) for c in cats.values()}) == 4
+    assert dio.dump_json(raw["categories"]) == \
+        dio.dump_json(json.loads(text)["categories"])
 
 
 def _run(args, doc, tmp_path):
