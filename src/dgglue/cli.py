@@ -35,10 +35,10 @@ from .fields import FieldError, field_to_config, parse_prime
 from .filtlab import (FiltError, auslander, generated_ideal, proj_dgcat,
                       refine, refinement_square, validate_algebra_map,
                       validate_filtration, validate_module)
-from .glue import (GlueError, InternalError, gac, glue, hom_iso_check,
-                   pair_result)
-from .hypercube import (CubeError, check_acyclic_complexcube, extend,
-                        extend_dg, stack, stack_dg, totalize)
+from .glue import (GlueError, InternalError, cube_verdict, decide_cube, gac,
+                   glue, hom_iso_check, pair_result)
+from .hypercube import (CubeError, _category_key, check_acyclic_complexcube,
+                        extend, extend_dg, stack, stack_dg, totalize)
 from .linalg import LinAlgError
 from .twisted import TwError
 from .io import DocumentError, lookup
@@ -110,8 +110,8 @@ def _command(argv):
         report = run(args.command, doc, parallel=args.parallel,
                      max_dim=args.max_dim)
     except (InputError, DocumentError, FieldError, json.JSONDecodeError,
-            KeyError, FiltError, DgError, TwError, CubeError, ComplexError,
-            LinAlgError, GlueError) as exc:
+            FiltError, DgError, TwError, CubeError, ComplexError, LinAlgError,
+            GlueError) as exc:
         _emit({"command": args.command, "error": str(exc) or repr(exc)},
               args.outfile)
         return 1
@@ -294,6 +294,9 @@ def run(command, doc, parallel=1, max_dim=64):
         tgt = doc.params.get("target")
         todo = [(src, tgt)] if src is not None and tgt is not None else \
             [(a, b) for a in init.objects for b in init.objects]
+        if any(x not in init.objects for pair in todo for x in pair):
+            raise InputError("hom-iso source/target must be objects of the "
+                             "initial vertex")
         g = gac(cube)
         for a, b in sorted(todo):
             res = hom_iso_check(cube, a, b, g)
@@ -439,7 +442,7 @@ def _dg_cube_document(cube, params=None):
         name = f"cat_{dio.subset_out(I) or 'o'}"
         cat = cube.vertices[I]
         cat_names[id(cat)] = name
-        key = (id(cat._hom), id(cat._comp), id(cat.ids), cat.objects)
+        key = _category_key(cat)
         if key not in written:
             written[key] = dio.category_out(cat)
         categories[name] = written[key]
@@ -470,30 +473,25 @@ _worker = {}     # a pool worker's cube, and its Gac once a qff pair needs it
 
 def _cube_pairs(kind, doc, cube_name, cube, parallel):
     """Decide every object pair of the initial vertex through `pair_result`,
-    in this process or in a pool whose workers each parse the cube once."""
-    init = cube.initial()
-    pairs = sorted((a, b) for a in init.objects for b in init.objects)
+    by `decide_cube` in this process or in a pool whose workers each parse
+    the cube once."""
     if parallel > 1:
+        init = cube.initial()
+        pairs = sorted((a, b) for a in init.objects for b in init.objects)
         raw = _document_roundtrip(doc, cube_name)
         with ProcessPoolExecutor(max_workers=parallel, initializer=_worker_init,
                                  initargs=(raw,)) as pool:
-            results = list(pool.map(_worker_pair,
-                                    [(kind, a, b) for a, b in pairs]))
+            results = dict(zip(pairs, pool.map(
+                _worker_pair, [(kind, a, b) for a, b in pairs])))
+        ok = cube_verdict(kind, results.values())
     else:
-        state = {"cube": cube}
-        results = [_pair_out(state, kind, a, b) for a, b in pairs]
-    if kind == "acyclic":
-        ok = not any(results)
-    else:
-        ok = all(r["isomorphism"] for r in results)
-    return ok, {f"{a}|{b}": r for (a, b), r in zip(pairs, results)}
+        ok, results = decide_cube(kind, cube)
+    return ok, {f"{a}|{b}": _pair_out(kind, res)
+                for (a, b), res in results.items()}
 
 
-def _pair_out(state, kind, a, b):
-    """The report entry of one pair; builds state's Gac for its first qff pair."""
-    if kind == "qff" and "gac" not in state:
-        state["gac"] = gac(state["cube"])
-    res = pair_result(kind, state["cube"], a, b, state.get("gac"))
+def _pair_out(kind, res):
+    """The report entry of one pair's `pair_result`."""
     if kind == "acyclic":
         return _table(res)
     return {"source": _table(res["source"]), "glue": _table(res["glue"]),
@@ -510,7 +508,12 @@ def _worker_init(raw):
 
 
 def _worker_pair(task):
-    return _pair_out(_worker, *task)
+    """One pair's `pair_result` in a pool worker, which builds its Gac for
+    its first qff pair."""
+    kind, a, b = task
+    if kind == "qff" and "gac" not in _worker:
+        _worker["gac"] = gac(_worker["cube"])
+    return pair_result(kind, _worker["cube"], a, b, _worker.get("gac"))
 
 
 def _document_roundtrip(doc, cube_name):

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable
 
 from .complexes import Complex, GradedMap, cohomology_basis, zero_complex
-from .linalg import LinAlgError, Matrix, mul_kron
+from .linalg import Matrix, differing_columns, mul_kron
 
 
 class DgError(ValueError):
@@ -177,35 +177,28 @@ def add_bilinear_block(table: Matrix, block: Matrix, row0: int, g0: int,
 # -- validation -----------------------------------------------------------
 
 
-def _laws_hold(identities) -> bool:
-    """all(identities), where a table that cannot be built is a failure."""
-    try:
-        return all(identities)
-    except (DgError, LinAlgError):
-        return False
-
-
 def category_algebra(cat: DgCategory):
     """The category as one algebra A = (+)_{a,b,k} hom(a, b)^k, a ring with
     several objects, laid out object by object by degree.
 
-    Returns (n, T, D, S, e): n = dim A; T (n x n^2) is the multiplication,
-    column g * n + f holding g f, with zero where g and f do not compose; D
-    is the block-diagonal differential, S the diagonal of degree signs
-    (-1)^k, and e = sum_a id_a a column.  Raises DgError if a composition
-    table has the wrong shape or an identity the wrong length.
+    Returns (owner, T, D, S, e): owner[i] is the object pair (a, b) whose
+    hom complex holds basis index i of A, so n = len(owner) is dim A; T
+    (n x n^2) is the multiplication, column g * n + f holding g f, with zero
+    where g and f do not compose; D is the block-diagonal differential, S
+    the diagonal of degree signs (-1)^k, and e = sum_a id_a a column, zero
+    on hom(a, a)^0 where id_a has the wrong length.  Raises DgError if a
+    composition table has the wrong shape.
     """
     field, objs, hom = cat.field, cat.objects, cat.hom
-    off, n = {}, 0
+    off, owner = {}, []
     for a, b in product(objs, objs):
         for k in hom(a, b).degrees():
-            off[a, b, k] = n
-            n += hom(a, b).dim(k)
+            off[a, b, k] = len(owner)
+            owner += [(a, b)] * hom(a, b).dim(k)
+    n = len(owner)
     unit = [field.zero] * n
     for a in objs:
-        if len(cat.ids[a]) != hom(a, a).dim(0):
-            raise DgError(f"identity of {a!r} has wrong length")
-        if cat.ids[a]:
+        if cat.ids[a] and len(cat.ids[a]) == hom(a, a).dim(0):
             unit[off[a, a, 0]:off[a, a, 0] + len(cat.ids[a])] = cat.ids[a]
     one, minus = field.one, field.neg(field.one)
     D = Matrix.zeros(field, n, n)
@@ -226,111 +219,82 @@ def category_algebra(cat: DgCategory):
             if row0 is not None:
                 add_bilinear_block(T, cat.comp_matrix(a, b, c, i, j), row0, g0,
                                    f0, hom(a, b).dim(j), n)
-    return n, T, D, S, Matrix.column(field, unit)
+    return owner, T, D, S, Matrix.column(field, unit)
 
 
-def _identities_hold(cat: DgCategory) -> bool:
-    """Whether every axiom of `cat` holds, decided as identities in the
-    algebra of `category_algebra`; a table that cannot be built is a failure."""
-    try:
-        n, T, D, S, e = category_algebra(cat)
-        return (mul_kron(T, e, n) == Matrix.identity(cat.field, n)
-                == mul_kron(T, n, e)
-                and D @ T == mul_kron(T, D, n) + mul_kron(T, S, D)
-                and mul_kron(T, T, n) == mul_kron(T, n, T))
-    except (DgError, LinAlgError):
-        return False
+def _failing_tuples(cat: DgCategory, whole) -> tuple:
+    """The sets of (a, b), (a, b, c) and (a, b, c, e) on which the units,
+    Leibniz and associativity of `validate_category` fail: failing columns
+    f, g n + f and (h n + g) n + f, for f in hom(a, b), g in hom(b, c) and
+    h in hom(c, e).  Unit laws need identities in `whole`."""
+    owner, T, D, S, e = category_algebra(cat)
+    n = len(owner)
+    one = Matrix.identity(cat.field, n)
+    units = {owner[f] for f in differing_columns(mul_kron(T, e, n), one)
+             if owner[f][1] in whole}
+    units.update(owner[f] for f in differing_columns(mul_kron(T, n, e), one)
+                 if owner[f][0] in whole)
+    leibniz = {(*owner[k % n], owner[k // n][1]) for k in differing_columns(
+        D @ T, mul_kron(T, D, n) + mul_kron(T, S, D))}
+    assoc = {(*owner[k % n], *owner[k // (n * n)]) for k in differing_columns(
+        mul_kron(T, T, n), mul_kron(T, n, T))}
+    return units, leibniz, assoc
 
 
 def validate_category(cat: DgCategory, max_report: int = 20) -> list:
     """Check all dg category axioms; returns a list of violations.
 
-    The category is first decided as a whole, as a ring with several
-    objects: in the algebra A = (+)_{a,b,k} hom(a, b)^k of
-    `category_algebra`, with multiplication T, differential D, degree signs
-    S and unit e = sum_a id_a, once every identity has the right length,
-    the axioms are four identities, each product T kron(X, Y) taken by
-    `mul_kron`:
+    The category is decided as a whole, as a ring with several objects: in
+    the algebra A = (+)_{a,b,k} hom(a, b)^k of `category_algebra`, with
+    multiplication T, differential D, degree signs S and unit
+    e = sum_a id_a, the axioms are four identities, each product
+    T kron(X, Y) taken by `mul_kron`:
       left unit:     T kron(e, 1) = 1;
       right unit:    T kron(1, e) = 1;
       Leibniz:       D T = T kron(D, 1) + T kron(S, D);
       associativity: T kron(T, 1) = T kron(1, T).
     They imply that the identities are closed: on e (x) e, Leibniz and the
-    units give D e = D e + D e.  If all four hold there is no violation.
+    units give D e = D e + D e.  If all four hold and every identity has
+    the right length there is no violation.
 
-    Otherwise (an identity fails, or a table cannot be built) each object
-    tuple is decided by exact identities of composition tables C
-    (column g_idx * dim + f_idx holds g (x) f), one per degree combination,
-    each product C kron(X, Y) taken by `mul_kron`:
-      C(a,b,b,0,k) kron(id_b, I) = I = C(a,a,b,k,0) kron(I, id_a)
-      d_ac C(a,b,c,i,j) = C(a,b,c,i+1,j) kron(d_bc, I)
-                          + (-1)^i C(a,b,c,i,j+1) kron(I, d_ab)
-      C(a,b,e,i+j,k) kron(C(b,c,e,i,j), I) = C(a,c,e,i,j+k) kron(I, C(a,b,c,j,k))
-    Column (g, f) of an identity is the element check on (g, f), so only a
-    tuple that fails (or whose tables cannot be built) is walked element by
-    element to name its violations, and the list is that of walking every
-    tuple.  Unit checks needing an identity of the wrong length are skipped.
+    Otherwise a failing column of an identity names its arguments, hence
+    the object tuple they live on, and only those tuples are walked element
+    by element to word the violations: the list is that of walking every
+    tuple.  A unit law needing an identity of the wrong length is skipped.
+    A composition table of the wrong shape raises DgError.
     """
-    if _identities_hold(cat):
+    field, objs = cat.field, cat.objects
+    whole = {a for a in objs if len(cat.ids[a]) == cat.hom(a, a).dim(0)}
+    units, leibniz, assoc = _failing_tuples(cat, whole)
+    if not (units or leibniz or assoc) and len(whole) == len(objs):
         return []
     bad = []
-    field = cat.field
-    objs, hom, comp = cat.objects, cat.hom, cat.comp_matrix
-    # a tuple touching a zero hom complex has no basis element to check
-    live = {(a, b): h for a in objs for b in objs if (h := hom(a, b)).total_dim()}
+    rank = {a: r for r, a in enumerate(objs)}
+
+    def in_order(tuples):
+        return sorted(tuples, key=lambda t: [rank[x] for x in t])
 
     def report(msg):
         if len(bad) < max_report:
             bad.append(msg)
 
-    ids = {}
     for a in objs:
-        ida = cat.id_elt(a)
-        if len(ida.vec) != hom(a, a).dim(0):
+        if a not in whole:
             report(f"identity of {a!r} has wrong length")
-            continue
-        ids[a] = Matrix.column(field, ida.vec)
-        if not cat.d_elt(ida).is_zero(field):
+        elif not cat.d_elt(cat.id_elt(a)).is_zero(field):
             report(f"identity of {a!r} is not closed")
-
-    def unit_laws(a, b):
-        for k in live[a, b].degrees():
-            n = live[a, b].dim(k)
-            one = Matrix.identity(field, n)
-            yield b not in ids or mul_kron(comp(a, b, b, 0, k), ids[b], n) == one
-            yield a not in ids or mul_kron(comp(a, a, b, k, 0), n, ids[a]) == one
-
-    def leibniz_laws(a, b, c):
-        hab, hbc = live[a, b], live[b, c]
-        for i, j in product(hbc.degrees(), hab.degrees()):
-            lhs = hom(a, c).d(i + j) @ comp(a, b, c, i, j)
-            dg = mul_kron(comp(a, b, c, i + 1, j), hbc.d(i), hab.dim(j))
-            df = mul_kron(comp(a, b, c, i, j + 1), hbc.dim(i), hab.d(j))
-            yield lhs == dg + (df if i % 2 == 0 else -df)
-
-    def assoc_laws(a, b, c, e):
-        hab, hce = live[a, b], live[c, e]
-        for i, j, k in product(hce.degrees(), live[b, c].degrees(), hab.degrees()):
-            hg_f = mul_kron(comp(a, b, e, i + j, k), comp(b, c, e, i, j), hab.dim(k))
-            h_gf = mul_kron(comp(a, c, e, i, j + k), hce.dim(i), comp(a, b, c, j, k))
-            yield hg_f == h_gf
-
     # units act as identities
-    for a, b in live:
-        if _laws_hold(unit_laws(a, b)):
-            continue
+    for a, b in in_order(units):
         idb, ida = cat.id_elt(b), cat.id_elt(a)
         for f in cat.hom_basis(a, b):
-            if b in ids and cat.compose(idb, f).vec != f.vec:
+            if b in whole and cat.compose(idb, f).vec != f.vec:
                 report(f"left unit fails on hom({a!r},{b!r}) deg {f.degree}")
                 break
-            if a in ids and cat.compose(f, ida).vec != f.vec:
+            if a in whole and cat.compose(f, ida).vec != f.vec:
                 report(f"right unit fails on hom({a!r},{b!r}) deg {f.degree}")
                 break
     # Leibniz: d(g f) = dg f + (-1)^|g| g df
-    for (a, b), c in product(live, objs):
-        if (b, c) not in live or _laws_hold(leibniz_laws(a, b, c)):
-            continue
+    for a, b, c in in_order(leibniz):
         for g in cat.hom_basis(b, c):
             sgn = field.one if g.degree % 2 == 0 else field.neg(field.one)
             for f in cat.hom_basis(a, b):
@@ -342,10 +306,7 @@ def validate_category(cat: DgCategory, max_report: int = 20) -> list:
                            f"degrees ({g.degree},{f.degree})")
                     break
     # associativity
-    for (a, b), c, e in product(live, objs, objs):
-        if (b, c) not in live or (c, e) not in live or \
-                _laws_hold(assoc_laws(a, b, c, e)):
-            continue
+    for a, b, c, e in in_order(assoc):
         for h in cat.hom_basis(c, e):
             for g in cat.hom_basis(b, c):
                 hg = cat.compose(h, g)
@@ -474,8 +435,11 @@ def functors_equal(f: DgFunctor, g: DgFunctor) -> bool:
 def validate_functor(F: DgFunctor, max_report: int = 20) -> list:
     """Check that F preserves identities, differentials and composition.
 
-    Per object triple, F_ac C^src(a,b,c,i,j) = C^tgt(Fa,Fb,Fc,i,j) kron(F_bc, F_ab)
-    for all degrees, or the triple is walked as in `validate_category`.
+    Per object triple (a, b, c) and degrees (i, j), column
+    g_idx * dim hom(a, b)^j + f_idx of
+    F_ac C^src(a,b,c,i,j) - C^tgt(Fa,Fb,Fc,i,j) kron(F_bc, F_ab) is
+    F(g f) - F(g) F(f).  The triple's violation is reported once for each g
+    of hom(b, c) with a failing column, as walking its elements would.
     """
     bad = []
     src, tgt = F.source, F.target
@@ -483,13 +447,6 @@ def validate_functor(F: DgFunctor, max_report: int = 20) -> list:
     def report(msg):
         if len(bad) < max_report:
             bad.append(msg)
-
-    def functor_laws(a, b, c):
-        Fa, Fb, Fc = F.obj_map[a], F.obj_map[b], F.obj_map[c]
-        for i, j in product(src.hom(b, c).degrees(), src.hom(a, b).degrees()):
-            yield F.hom_matrix(a, c, i + j) @ src.comp_matrix(a, b, c, i, j) == \
-                mul_kron(tgt.comp_matrix(Fa, Fb, Fc, i, j),
-                         F.hom_matrix(b, c, i), F.hom_matrix(a, b, j))
 
     for a in src.objects:
         if a not in F.obj_map or F.obj_map[a] not in tgt.objects:
@@ -501,22 +458,21 @@ def validate_functor(F: DgFunctor, max_report: int = 20) -> list:
             report(f"identity of {a!r} has wrong length")
         elif F.apply(ida).vec != tgt.id_elt(F.obj_map[a]).vec:
             report(f"functor does not preserve identity of {a!r}")
-    for a in src.objects:
-        for b in src.objects:
-            if not F.hom_graded_map(a, b).is_closed():
-                report(f"hom map ({a!r},{b!r}) does not commute with d")
-    for a in src.objects:
-        for b in src.objects:
-            for c in src.objects:
-                if _laws_hold(functor_laws(a, b, c)):
-                    continue
-                for g in src.hom_basis(b, c):
-                    Fg = F.apply(g)
-                    for f in src.hom_basis(a, b):
-                        if F.apply(src.compose(g, f)).vec != \
-                                tgt.compose(Fg, F.apply(f)).vec:
-                            report(f"functor breaks composition at ({a!r},{b!r},{c!r})")
-                            break
+    for a, b in product(src.objects, repeat=2):
+        if not F.hom_graded_map(a, b).is_closed():
+            report(f"hom map ({a!r},{b!r}) does not commute with d")
+    for a, b, c in product(src.objects, repeat=3):
+        Fa, Fb, Fc = F.obj_map[a], F.obj_map[b], F.obj_map[c]
+        hab = src.hom(a, b)
+        failing = set()         # (degree, index) of each g that fails
+        for i, j in product(src.hom(b, c).degrees(), hab.degrees()):
+            lhs = F.hom_matrix(a, c, i + j) @ src.comp_matrix(a, b, c, i, j)
+            rhs = mul_kron(tgt.comp_matrix(Fa, Fb, Fc, i, j),
+                           F.hom_matrix(b, c, i), F.hom_matrix(a, b, j))
+            failing.update((i, k // hab.dim(j))
+                           for k in differing_columns(lhs, rhs))
+        for _ in failing:
+            report(f"functor breaks composition at ({a!r},{b!r},{c!r})")
     return bad
 
 

@@ -19,7 +19,8 @@ from itertools import accumulate
 
 from .complexes import Complex
 from .dgcat import DgCategory, DgFunctor, add_bilinear_block
-from .linalg import LinAlgError, Matrix, kron, mul_kron, quotient_maps
+from .linalg import (LinAlgError, Matrix, differing_columns, kron, mul_kron,
+                     quotient_maps)
 
 
 class FiltError(ValueError):
@@ -181,9 +182,9 @@ def validate_filtration(alg: FilteredAlgebra, max_report: int = 20) -> list:
     Through the structure constants M, unit, commutativity and
     associativity are the identities M kron(1, I) = I, M P = M (P swaps the
     factors) and M kron(M, I) = M kron(I, M), and F^a F^b <= F^{a+b} is
-    the membership of the columns of M kron(B_a, B_b) in F^{a+b}.  Only a
-    failing identity is walked column by column to name its violations, so
-    the list is that of checking every basis element.
+    B L X = X for X = M kron(B_a, B_b), B the basis of F^{a+b} and L its
+    left inverse.  The violations are read off the failing columns of each
+    identity, so the list is that of checking every basis element.
     """
     bad = []
     field, n, M = alg.field, alg.dim, alg.table
@@ -192,26 +193,24 @@ def validate_filtration(alg: FilteredAlgebra, max_report: int = 20) -> list:
         if len(bad) < max_report:
             bad.append(msg)
 
-    eye = Matrix.identity(field, n)
     if len(alg.unit) != n:
         report("unit has wrong length")
-    elif (left := mul_kron(M, Matrix.column(field, alg.unit), n)) != eye:
-        cols = left.transpose().rows
-        for i in range(n):
-            if cols[i] != eye.rows[i]:
-                report(f"unit fails on basis {i}")
-    cols = M.transpose().rows
-    lhs, rhs = mul_kron(M, M, n), mul_kron(M, n, M)
-    if lhs != rhs or any(cols[i * n + j] != cols[j * n + i]
-                         for i in range(n) for j in range(i)):
-        lcols, rcols = lhs.transpose().rows, rhs.transpose().rows
-        for i in range(n):
-            for j in range(n):
-                if cols[i * n + j] != cols[j * n + i]:
-                    report(f"commutativity fails at ({i},{j})")
-                for k in range(n):
-                    if lcols[(i * n + j) * n + k] != rcols[(i * n + j) * n + k]:
-                        report(f"associativity fails at ({i},{j},{k})")
+    else:
+        for i in sorted(differing_columns(
+                mul_kron(M, Matrix.column(field, alg.unit), n),
+                Matrix.identity(field, n))):
+            report(f"unit fails on basis {i}")
+    # M P: column i n + j of M moved to j n + i
+    swapped = Matrix(field, n, n * n, [
+        {j % n * n + j // n: v for j, v in row.items()} for row in M.rows])
+    # per (i, j): commutativity (k = -1), then associativity at each k
+    fails = sorted([(ij, -1) for ij in differing_columns(M, swapped)]
+                   + [divmod(c, n) for c in differing_columns(
+                       mul_kron(M, M, n), mul_kron(M, n, M))])
+    for ij, k in fails:
+        i, j = divmod(ij, n)
+        report(f"commutativity fails at ({i},{j})" if k < 0
+               else f"associativity fails at ({i},{j},{k})")
     if alg.fil(0).ncols != alg.dim or alg.fil(0).rank() != alg.dim:
         report("F^0 is not the whole algebra")
     if not alg.filtration[alg.length].is_zero():
@@ -228,12 +227,9 @@ def validate_filtration(alg: FilteredAlgebra, max_report: int = 20) -> list:
     for a in range(alg.length + 1):
         for b in range(alg.length + 1):
             prods = mul_kron(M, alg.fil(-a), alg.fil(-b))
-            try:
-                alg.fil_coords(-a - b, prods)
-            except FiltError:
-                for prod in prods.columns():
-                    if not alg.in_fil(-a - b, prod):
-                        report(f"F^{-a} * F^{-b} escapes F^{-a - b}")
+            basis, left = alg._membership(-a - b)
+            for _ in differing_columns(basis @ (left @ prods), prods):
+                report(f"F^{-a} * F^{-b} escapes F^{-a - b}")
     return bad
 
 
@@ -322,15 +318,6 @@ class GradedModule:
         return m
 
 
-def _bad_blocks(lhs: Matrix, rhs: Matrix, width: int) -> set:
-    """Indices of the column blocks of the given width where lhs and rhs
-    differ (empty when they are equal)."""
-    if lhs == rhs:
-        return set()
-    lcols, rcols = lhs.transpose().rows, rhs.transpose().rows
-    return {c // width for c in range(lhs.ncols) if lcols[c] != rcols[c]}
-
-
 def validate_module(m: GradedModule, max_report: int = 20) -> list:
     """Check the Rees-module laws; returns a list of violations.
 
@@ -338,8 +325,9 @@ def validate_module(m: GradedModule, max_report: int = 20) -> list:
     of the action matrices A and the transitions t; associativity, for
     example, is A_{a+b,k} kron(mu_ab, I) = A_{a,k+b} kron(I, A_{b,k}), with
     mu_ab the F^{-a-b} coordinates of the products of the F^{-a} and F^{-b}
-    bases.  Only a failing identity is walked, block by block, to name its
-    violations, so the list is that of checking every basis element.
+    bases.  A failing column of an identity lies in the block of the basis
+    element it fails on, so the list is that of checking every basis
+    element.
     """
     bad = []
     alg = m.alg
@@ -359,48 +347,42 @@ def validate_module(m: GradedModule, max_report: int = 20) -> list:
     # associativity: (f g) m = f (g m) for filtration basis vectors
     for a in range(alg.length):
         for b in range(alg.length):
-            ks = range(L - a - b)
-            if not ks:
-                continue
-            na, nb = alg.fil(-a).ncols, alg.fil(-b).ncols
+            if a + b >= L:
+                break
+            na = alg.fil(-a).ncols
             prods = mul_kron(alg.table, alg.fil(-a), alg.fil(-b))
-            fails = {k: _bad_blocks(
-                m.act_elem(a + b, k, prods),
-                mul_kron(on_basis(a, k + b), na, on_basis(b, k)), dims[k])
-                for k in ks}
-            for blk in range(na * nb):
-                for k in ks:
-                    if blk in fails[k]:
-                        report(f"action associativity fails at "
-                               f"(F^{-a},F^{-b},deg {-k})")
+            # (basis product, k) with a failing column in its block
+            fails = {(c // dims[k], k) for k in range(L - a - b)
+                     for c in differing_columns(
+                         m.act_elem(a + b, k, prods),
+                         mul_kron(on_basis(a, k + b), na, on_basis(b, k)))}
+            for _, k in sorted(fails):
+                report(f"action associativity fails at "
+                       f"(F^{-a},F^{-b},deg {-k})")
     # transition equivariance: f t^{-j+1} = t (f t^{-j}) and t-centrality
     for j in range(1, alg.length):
         fj = alg.fil(-j)
-        equi, central = {}, {}
-        for k in range(L):
-            if k + j < L:
-                rhs = m.tau_at(-k - j) @ on_basis(j, k)
-                equi[k] = _bad_blocks(m.act_elem(j - 1, k, fj), rhs, dims[k])
-                if k > 0:
-                    lhs = mul_kron(on_basis(j, k - 1), fj.ncols, m.tau_at(-k))
-                    central[k] = _bad_blocks(lhs, rhs, dims[k])
-            elif k + j == L:
-                lhs = m.act_elem(j - 1, k, fj)
-                equi[k] = _bad_blocks(lhs, Matrix.zeros(field, *lhs.shape),
-                                      dims[k])
-        for s in range(fj.ncols):
-            for k in range(L):
-                if s in equi.get(k, ()):
-                    report(f"transition equivariance fails (j={j}, k={k})"
-                           if k + j < L else
-                           f"boundary action not killed (j={j}, k={k})")
-                if s in central.get(k, ()):
-                    report(f"t-centrality fails (j={j}, k={k})")
+        fails = set()       # (basis vector, k, 0 for equivariance or 1)
+        for k in range(L - j + 1):
+            lhs = m.act_elem(j - 1, k, fj)
+            rhs = m.tau_at(-k - j) @ on_basis(j, k) if k + j < L else \
+                Matrix.zeros(field, *lhs.shape)
+            fails.update((c // dims[k], k, 0)
+                         for c in differing_columns(lhs, rhs))
+            if 0 < k < L - j:
+                lhs = mul_kron(on_basis(j, k - 1), fj.ncols, m.tau_at(-k))
+                fails.update((c // dims[k], k, 1)
+                             for c in differing_columns(lhs, rhs))
+        for _, k, law in sorted(fails):
+            report(f"t-centrality fails (j={j}, k={k})" if law else
+                   f"transition equivariance fails (j={j}, k={k})"
+                   if k + j < L else
+                   f"boundary action not killed (j={j}, k={k})")
     # degree-zero action commutes with transitions
     for k in range(1, L):
         lhs = mul_kron(on_basis(0, k - 1), alg.dim, m.tau_at(-k))
-        for i in sorted(_bad_blocks(lhs, m.tau_at(-k) @ on_basis(0, k),
-                                    dims[k])):
+        rhs = m.tau_at(-k) @ on_basis(0, k)
+        for i in sorted({c // dims[k] for c in differing_columns(lhs, rhs)}):
             report(f"degree-zero action not t-central (k={k}, basis {i})")
     return bad
 
@@ -618,29 +600,22 @@ class AuslanderAlgebra:
 
     def validate(self, max_report: int = 10) -> list:
         """Unit and associativity, as the identities T kron(1, I) = I =
-        T kron(I, 1) and T kron(T, I) = T kron(I, T) of the table T; only a
-        failing identity is walked column by column to name its violations."""
-        bad = []
+        T kron(I, 1) and T kron(T, I) = T kron(I, T) of the table T, with the
+        violations read off the failing columns."""
         T, n = self.table, self.dim
         one = Matrix.column(self.field, self.unit_vec())
         eye = Matrix.identity(self.field, n)
-        left, right = mul_kron(T, one, n), mul_kron(T, n, one)
-        if left != eye or right != eye:
-            lcols, rcols = left.transpose().rows, right.transpose().rows
-            bad = [f"unit fails on basis {self.basis[t]}" for t in range(n)
-                   if lcols[t] != eye.rows[t] or rcols[t] != eye.rows[t]]
-        lhs, rhs = mul_kron(T, T, n), mul_kron(T, n, T)
-        if lhs == rhs:
-            return bad
-        lcols, rcols = lhs.transpose().rows, rhs.transpose().rows
-        for t1 in range(n):
-            for t2 in range(n):
-                for t3 in range(n):
-                    if lcols[(t1 * n + t2) * n + t3] != rcols[(t1 * n + t2) * n + t3]:
-                        bad.append(f"associativity fails at "
-                                   f"{self.basis[t1]},{self.basis[t2]},{self.basis[t3]}")
-                        if len(bad) >= max_report:
-                            return bad
+        bad = [f"unit fails on basis {self.basis[t]}" for t in sorted(
+            differing_columns(mul_kron(T, one, n), eye)
+            | differing_columns(mul_kron(T, n, one), eye))]
+        assoc = differing_columns(mul_kron(T, T, n), mul_kron(T, n, T))
+        for c in sorted(assoc):
+            t12, t3 = divmod(c, n)
+            t1, t2 = divmod(t12, n)
+            bad.append(f"associativity fails at "
+                       f"{self.basis[t1]},{self.basis[t2]},{self.basis[t3]}")
+            if len(bad) >= max_report:
+                break
         return bad
 
 
@@ -1054,27 +1029,27 @@ class AlgebraMap:
 
 
 def validate_algebra_map(f: AlgebraMap, max_report: int = 10) -> list:
+    """Check that f preserves the unit, products and the filtration.
+
+    Products are the identity F M_src = M_tgt kron(F, F) of structure
+    constants, whose failing column i * dim + j names the pair (i, j); F^s
+    is respected when B L (F B_src) = F B_src for the F^s basis B of the
+    target and its left inverse L.
+    """
     bad = []
-    field = f.src.field
+    F, n = f.matrix, f.src.dim
     if f.apply(f.src.unit) != tuple(f.tgt.unit):
         bad.append("map does not preserve the unit")
-    for i in range(f.src.dim):
-        ei = [field.zero] * f.src.dim
-        ei[i] = field.one
-        for j in range(f.src.dim):
-            ej = [field.zero] * f.src.dim
-            ej[j] = field.one
-            lhs = f.apply(f.src.mul_vec(ei, ej))
-            rhs = f.tgt.mul_vec(f.apply(ei), f.apply(ej))
-            if lhs != rhs:
-                bad.append(f"map is not multiplicative at ({i},{j})")
-                if len(bad) >= max_report:
-                    return bad
+    for c in sorted(differing_columns(F @ f.src.table,
+                                      mul_kron(f.tgt.table, F, F))):
+        bad.append(f"map is not multiplicative at ({c // n},{c % n})")
+        if len(bad) >= max_report:
+            return bad
     for k in range(f.src.length + 1):
-        for v in f.src.fil(-k).columns():
-            if not f.tgt.in_fil(-k, f.apply(v)):
-                bad.append(f"map does not respect F^{-k}")
-                break
+        image = F @ f.src.fil(-k)
+        basis, left = f.tgt._membership(-k)
+        if differing_columns(basis @ (left @ image), image):
+            bad.append(f"map does not respect F^{-k}")
     return bad
 
 

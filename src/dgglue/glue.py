@@ -262,17 +262,22 @@ def pair_result(kind: str, cube: DgCube, a, b, g: GacCategory = None):
             "isomorphism": is_quasi_iso(cm, h_src, h_glue)}
 
 
-def check_qff(cube: DgCube):
-    """Decide quasi-full-faithfulness of pi; returns (verdict, report).
-
-    The report maps every object pair of the initial vertex to its
-    `pair_result("qff", ...)`.
-    """
-    g = gac(cube)
+def decide_cube(kind: str, cube: DgCube):
+    """(`cube_verdict`, {(a, b): `pair_result`}) over the sorted object
+    pairs of the initial vertex of `cube`; a qff cube builds its Gac once."""
     init = cube.initial()
-    report = {(a, b): pair_result("qff", cube, a, b, g)
-              for a in init.objects for b in init.objects}
-    return all(r["isomorphism"] for r in report.values()), report
+    pairs = sorted((a, b) for a in init.objects for b in init.objects)
+    g = gac(cube) if kind == "qff" and pairs else None
+    results = {(a, b): pair_result(kind, cube, a, b, g) for a, b in pairs}
+    return cube_verdict(kind, results.values()), results
+
+
+def cube_verdict(kind: str, results) -> bool:
+    """The cube's verdict from its pairs' `pair_result`s: acyclic iff every
+    pair's table is empty, qff iff every pair's map is a quasi-isomorphism."""
+    if kind == "acyclic":
+        return not any(results)
+    return all(r["isomorphism"] for r in results)
 
 
 def hom_iso_check(cube: DgCube, a, b, g: GacCategory = None) -> bool:

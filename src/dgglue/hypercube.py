@@ -19,7 +19,8 @@ from itertools import combinations
 
 from .complexes import Complex, GradedMap, cone
 from .dgcat import (DgCategory, DgFunctor, cats_equal, compose_functors,
-                    functors_equal, identity_functor, validate_functor)
+                    functors_equal, identity_functor, validate_category,
+                    validate_functor)
 from .linalg import Matrix
 
 
@@ -345,7 +346,7 @@ class DgCube:
     """A full hypercube of dg categories with strictly commuting dg functors."""
 
     def __init__(self, field, n: int, vertices: dict, edges: dict,
-                 validate: bool = True, deep_validate: bool = False):
+                 validate: bool = True):
         self.field = field
         self.n = n
         self.top = frozenset(range(n))
@@ -354,12 +355,16 @@ class DgCube:
         self._pushes = {}
         if set(self.vertices) != full_shape(self.top):
             raise CubeError("dg cube must have a vertex for every subset")
+        for I, l in self.edges:
+            if I not in self.vertices or I | {l} not in self.vertices:
+                raise CubeError(f"dg edge ({sorted(I)},{l}) joins a missing "
+                                f"vertex")
         for I in self.vertices:
             for l in self.top - I:
                 if (I, l) not in self.edges:
                     raise CubeError(f"missing dg edge ({sorted(I)},{l})")
         if validate:
-            bad = self.defect(deep=deep_validate)
+            bad = self.defect()
             if bad:
                 raise CubeError(bad)
 
@@ -367,6 +372,8 @@ class DgCube:
         return self.edges[(frozenset(I), l)]
 
     def defect(self, deep: bool = False):
+        """The first violated strictness condition as a string, or None;
+        `deep` also checks every edge functor, then each distinct vertex."""
         for (I, l), e in self.edges.items():
             if not (cats_equal(e.source, self.vertices[I])
                     and cats_equal(e.target, self.vertices[I | {l}])):
@@ -394,6 +401,13 @@ class DgCube:
                     two = composite(self.edge(I | {m}, l), self.edge(I, m))
                     if one is not two and not functors_equal(one, two):
                         return f"dg face ({sorted(I)};{l},{m}) does not strictly commute"
+        if deep:
+            first = {}      # a vertex of each distinct category
+            for I in sorted(self.vertices, key=lambda s: (len(s), sorted(s))):
+                first.setdefault(_category_key(self.vertices[I]), I)
+            for I in first.values():
+                if bad := validate_category(self.vertices[I]):
+                    return f"vertex {sorted(I)}: {bad[0]}"
         return None
 
     def initial(self) -> DgCategory:
@@ -431,6 +445,12 @@ class DgCube:
                                             self.push_functor(start, prev))
             self._pushes[(start, I)] = push
         return push
+
+
+def _category_key(cat: DgCategory) -> tuple:
+    """Equal for categories sharing their tables, such as the copies `io`
+    makes of a category repeated under several names."""
+    return (id(cat._hom), id(cat._comp), id(cat.ids), cat.objects)
 
 
 def _functor_key(f: DgFunctor) -> tuple:
@@ -476,18 +496,6 @@ def bimodule_cube(cube: DgCube, a, b, shape=None, a_vertex=frozenset(),
 def bimodule_cohomology(cube: DgCube, a, b) -> dict:
     """Cohomology table of the totalized hom-bimodule cube of the pair (a, b)."""
     return totalize(bimodule_cube(cube, a, b)).cohomology()
-
-
-def check_acyclic_dgcube(cube: DgCube):
-    """Totalize the hom-bimodule cube for every object pair of the initial vertex.
-
-    Returns (verdict, report) where report maps (a, b) to the cohomology
-    table of the totalization; the cube is acyclic iff every table is empty.
-    """
-    init = cube.initial()
-    report = {(a, b): bimodule_cohomology(cube, a, b)
-              for a in init.objects for b in init.objects}
-    return not any(report.values()), report
 
 
 def as_morphism_dg(cube: DgCube):

@@ -92,9 +92,15 @@ def matrix_in(field, rows, shape=None) -> Matrix:
     return m
 
 
-def _get(data, key, kind, default=None):
-    """data[key] as a JSON object or array (kind dict or list), or `default`."""
-    value = data[key] if default is None else data.get(key, default)
+def _get(data, key, kind=object, default=None):
+    """data[key], of `kind` (dict for a JSON object, list for an array), or
+    `default` when the key is absent; DocumentError for an absent key
+    without a default."""
+    if key not in data:
+        if default is None:
+            raise DocumentError(f"missing key {key!r}")
+        return default
+    value = data[key]
     if not isinstance(value, kind):
         raise DocumentError(f"{key!r} must be a JSON "
                             f"{'object' if kind is dict else 'array'}")
@@ -264,6 +270,9 @@ def functor_in(field, data, src: DgCategory, tgt: DgCategory) -> DgFunctor:
         hom_maps[(a, b)] = {}
         for k, rows in maps.items():
             k = _int(k)
+            if a not in obj_map or b not in obj_map:
+                raise DocumentError(f"hom map {key!r} names an object "
+                                    f"outside obj_map")
             hom_maps[(a, b)][k] = matrix_in(
                 field, rows,
                 shape=(tgt.hom(obj_map[a], obj_map[b]).dim(k),
@@ -301,6 +310,9 @@ def complex_cube_in(field, data) -> ComplexCube:
         ikey, l = _split(key, "|", 2)
         I = subset_in(ikey)
         l = _int(l)
+        if I not in vertices or I | {l} not in vertices:
+            raise DocumentError(f"complex cube edge {key!r} joins a missing "
+                                f"vertex")
         edges[(I, l)] = graded_map_in(field, e, vertices[I], vertices[I | {l}])
     return ComplexCube(field, top, shape, vertices, edges)
 
@@ -314,14 +326,14 @@ def dg_cube_out(cube: DgCube, cat_names: dict, fun_names: dict):
 
 
 def dg_cube_in(field, data, categories: dict, functors: dict) -> DgCube:
-    n = _int(data["n"])
+    n = _int(_get(data, "n"))
     vertices = {subset_in(k): lookup(categories, v, "category")
                 for k, v in _get(data, "vertices", dict).items()}
     edges = {}
     for key, fname in _get(data, "edges", dict).items():
         ikey, l = _split(key, "|", 2)
         edges[(subset_in(ikey), _int(l))] = lookup(functors, fname, "functor")
-    return DgCube(field, n, vertices, edges, validate=True, deep_validate=False)
+    return DgCube(field, n, vertices, edges)
 
 
 # -- filtered algebras and modules --------------------------------------------
@@ -360,7 +372,7 @@ def algebra_in(field, data) -> FilteredAlgebra:
             return raw[(j, i)]
         return tuple(field.zero for _ in range(dim))
 
-    length = _int(data["length"])
+    length = _int(_get(data, "length"))
     filtration = [Matrix.identity(field, dim)]
     for k in range(1, length + 1):
         rows = _get(data, "filtration", dict).get(str(k), [])
@@ -582,11 +594,13 @@ def parse_document(data, default_field=None) -> Document:
     doc.functors = _parse_once(
         _items(data, "functors", dict, {}),
         lambda f: functor_in(field, f,
-                             lookup(doc.categories, f["source"], "category"),
-                             lookup(doc.categories, f["target"], "category")))
+                             lookup(doc.categories, _get(f, "source"),
+                                    "category"),
+                             lookup(doc.categories, _get(f, "target"),
+                                    "category")))
     for name, mdata in _items(data, "graded_maps", dict, {}):
-        src = lookup(doc.complexes, mdata["source"], "complex")
-        tgt = lookup(doc.complexes, mdata["target"], "complex")
+        src = lookup(doc.complexes, _get(mdata, "source"), "complex")
+        tgt = lookup(doc.complexes, _get(mdata, "target"), "complex")
         doc.graded_maps[name] = graded_map_in(field, mdata, src, tgt)
     for name, cdata in _items(data, "complex_cubes", dict, {}):
         doc.complex_cubes[name] = complex_cube_in(field, cdata)
@@ -596,11 +610,11 @@ def parse_document(data, default_field=None) -> Document:
     for name, adata in _items(data, "filtered_algebras", dict, {}):
         doc.filtered_algebras[name] = algebra_in(field, adata)
     for name, mdata in _items(data, "modules", dict, {}):
-        alg = lookup(doc.filtered_algebras, mdata["algebra"], "algebra")
+        alg = lookup(doc.filtered_algebras, _get(mdata, "algebra"), "algebra")
         doc.modules[name] = module_in(field, mdata, alg)
     for name, fdata in _items(data, "algebra_maps", dict, {}):
-        src = lookup(doc.filtered_algebras, fdata["source"], "algebra")
-        tgt = lookup(doc.filtered_algebras, fdata["target"], "algebra")
+        src = lookup(doc.filtered_algebras, _get(fdata, "source"), "algebra")
+        tgt = lookup(doc.filtered_algebras, _get(fdata, "target"), "algebra")
         doc.algebra_maps[name] = algebra_map_in(field, fdata, src, tgt)
     # twisted complexes may live over constructed categories (e.g. the
     # generalized arrow category of a named cube), so they stay raw here and

@@ -430,6 +430,18 @@ def mul_kron(c: Matrix, x, y) -> Matrix:
     return Matrix(c.field, c.nrows, xc * yc, out)
 
 
+def differing_columns(lhs: Matrix, rhs: Matrix) -> set:
+    """The columns in which lhs and rhs differ.
+
+    Read off the row dicts of lhs - rhs, in time linear in their nonzeros:
+    a failing identity's columns name its failing arguments, and an
+    associativity identity has n^3 of them, too many to transpose.
+    """
+    if lhs == rhs:
+        return set()
+    return {j for row in (lhs - rhs).rows for j in row}
+
+
 def quotient_maps(field, ambient_dim: int, subspace: Matrix):
     """Projection/section pair for the quotient k^ambient / col(subspace).
 

@@ -17,10 +17,9 @@ from dgglue.filtlab import (auslander, end_algebra_iso_auslander,
                             tensor_n, tensor_unit_map, truncate,
                             truncated_free, truncated_polynomial_algebra,
                             validate_filtration)
-from dgglue.glue import check_qff, gac, hom_iso_check
-from dgglue.hypercube import (as_morphism, check_acyclic_complexcube,
-                              check_acyclic_dgcube, extend, reassemble, stack,
-                              totalize)
+from dgglue.glue import decide_cube, gac, hom_iso_check
+from dgglue.hypercube import (as_morphism, check_acyclic_complexcube, extend,
+                              reassemble, stack, totalize)
 from dgglue.samples import (one_cube, random_complex, random_cube_morphism,
                             random_closed_gp_morphism, random_dg_cube,
                             random_directed_env, random_filtered_algebra,
@@ -172,8 +171,8 @@ def test_criterion_04_qff_equals_acyclic():
     acyclic_count = 0
     non_count = 0
     for cube in cubes:
-        a, _ = check_acyclic_dgcube(cube)
-        q, _ = check_qff(cube)
+        a, _ = decide_cube("acyclic", cube)
+        q, _ = decide_cube("qff", cube)
         if a == q:
             agree += 1
         if a:
@@ -300,7 +299,7 @@ def test_criterion_09_refinement():
     from dgglue.samples import random_refinement_square
     for seed in range(8):
         sq = random_refinement_square(F7, rng(950 + seed))
-        ok = ok and check_qff(sq)[0]
+        ok = ok and decide_cube("qff", sq)[0]
     report(9, "refinement formulas and acyclic refinement squares", ok, t0)
 
 
@@ -384,8 +383,8 @@ def test_criterion_12_negative_witness():
     ok = True
     for field in (QQ, F7):
         cube = unit_inclusion_cube(field)
-        acyclic, rep_a = check_acyclic_dgcube(cube)
-        qff, rep_q = check_qff(cube)
+        acyclic, rep_a = decide_cube("acyclic", cube)
+        qff, rep_q = decide_cube("qff", cube)
         entry = rep_q[("*", "*")]
         ok = ok and not acyclic and not qff
         ok = ok and entry["source"] == {0: 1} and entry["glue"] == {0: 2}

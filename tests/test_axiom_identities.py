@@ -3,6 +3,7 @@
 `reference_dgcat.py`, on valid inputs and on the same inputs corrupted."""
 
 import random
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -206,6 +207,74 @@ def test_valid_category_is_decided_by_the_identities(field, kind):
             got, walks = validate_counting_walks(validate_category, cat, [cat])
         assert got == [] and walks == 0
         assert len(calls) <= 6
+
+
+@FIELDS
+@pytest.mark.parametrize("kind", KINDS)
+def test_corrupted_category_is_decided_by_the_identities(field, kind):
+    """A corrupted category takes the same six products as a valid one:
+    the failing columns name the tuples to walk, with no per-tuple
+    identities."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mul_kron(*args)
+
+    seen = 0
+    for seed in range(4):
+        rnd = random.Random(seed)
+        cat = corrupt_category(make_category(kind, field, rnd), rnd, 2, 1)
+        expected = ref.validate_category(cat)
+        calls.clear()
+        with mock.patch.object(dgcat, "mul_kron", counted):
+            assert validate_category(cat) == expected
+        assert len(calls) <= 6
+        seen += bool(expected)
+    assert seen
+
+
+@FIELDS
+@pytest.mark.parametrize("kind", ["identity", "square", "cube"])
+def test_validate_functor_walks_no_element(field, kind):
+    """Composition is read off the failing columns of each triple's
+    identity; no element is composed."""
+    seen = 0
+    for seed in range(6):
+        rnd = random.Random(seed)
+        F = corrupt_functor(make_functor(kind, field, rnd), rnd, 3,
+                            rnd.choice([0, 2]))
+        expected = ref.validate_functor(F)
+        got, walks = validate_counting_walks(validate_functor, F,
+                                             [F.source, F.target])
+        assert got == expected and walks == 0
+        seen += any("breaks composition" in msg for msg in expected)
+    assert seen
+
+
+@FIELDS
+@pytest.mark.parametrize("kind", ["identity", "square", "cube"])
+def test_functor_with_a_wide_source_table_matches_reference(field, kind):
+    """A source composition table one column too wide raises the same
+    DgError as the element walk."""
+    F = make_functor(kind, field, random.Random(2))
+    src = F.source
+    key = next((a, b, c, i, j) for a, b, c in product(src.objects, repeat=3)
+               for i in src.hom(b, c).degrees()
+               for j in src.hom(a, b).degrees()
+               if src.hom(a, c).dim(i + j) and src.hom(b, c).dim(i)
+               and src.hom(a, b).dim(j))
+    m = src.comp_matrix(*key)
+
+    def comp(*k):
+        if k == key:
+            return Matrix.zeros(field, m.nrows, m.ncols + 1)
+        return src.comp_matrix(*k)
+
+    wide = DgFunctor(_with(src, comp=comp), F.target, F.obj_map, F.hom_maps)
+    outcome = _outcome(validate_functor, wide)
+    assert outcome == _outcome(ref.validate_functor, wide)
+    assert outcome[0] is DgError
 
 
 @FIELDS

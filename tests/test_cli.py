@@ -11,8 +11,7 @@ import pytest
 
 from dgglue import io as dio
 from dgglue.fields import QQ, PrimeField
-from dgglue.glue import check_qff, gac
-from dgglue.hypercube import check_acyclic_dgcube
+from dgglue.glue import decide_cube, gac
 from dgglue.linalg import Matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -239,18 +238,20 @@ def test_non_object_section_exits_1(tmp_path, doc):
 
 
 def test_internal_failure_exits_2(tmp_path, monkeypatch, capsys):
+    """An exception that no input check raises is internal, a KeyError
+    included."""
     from dgglue import cli
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("broken invariant")
-
-    monkeypatch.setattr(cli, "validate_category", broken)
     p = tmp_path / "cat.json"
     p.write_text(json.dumps(_path_category({"x": ["1"], "y": ["1"]})))
-    assert cli.main(["validate", "--in", str(p)]) == 2
-    rep = json.loads(capsys.readouterr().out)
-    assert rep == {"command": "validate",
-                   "internal_error": "RuntimeError: broken invariant"}
+    for error in (RuntimeError, KeyError):
+        def broken(*args, **kwargs):
+            raise error("broken invariant")
+
+        monkeypatch.setattr(cli, "validate_category", broken)
+        assert cli.main(["validate", "--in", str(p)]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert rep == {"command": "validate", "internal_error":
+                       f"{error.__name__}: {error('broken invariant')}"}
 
 
 def _path_category(ids, xyy="1"):
@@ -462,6 +463,66 @@ def test_unresolved_reference_exits_1(tmp_path, doc, kind):
         f"unresolved {kind} reference 'nope'"
 
 
+def _without(document, *path):
+    """A bundled document, or one that `document()` builds, with the key at
+    the end of `path` removed."""
+    doc = document() if callable(document) else \
+        json.loads((DOCS / document).read_text())
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    del entry[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize("doc, key", [
+    (_without("refinement_square.json", "functors", "edge_o_0", "source"),
+     "'source'"),
+    (_without(_graded_map_document, "graded_maps", "g", "source"),
+     "'source'"),
+    (_without("refinement_square.json", "categories", "cat_0", "objects"),
+     "'objects'"),
+    (_without("refinement_square.json", "categories", "cat_0", "ids"),
+     "'ids'"),
+    (_without("refinement_square.json", "dg_cubes", "square", "n"), "'n'"),
+    (_without(_module_document, "modules", "m", "algebra"), "'algebra'"),
+    (_without("dual_numbers.json", "filtered_algebras", "dual", "basis"),
+     "'basis'"),
+    (_without("dual_numbers.json", "filtered_algebras", "dual", "mult"),
+     "'mult'"),
+    (_without("one_cube.json", "complex_cubes", "arrow", "vertices", "0"),
+     "'|0'"),
+    (_without("refinement_square.json", "functors", "edge_o_0", "obj_map",
+              "1"), "'0->1'"),
+], ids=["functor-source", "graded-map-source", "category-objects",
+        "category-ids", "cube-n", "module-algebra", "algebra-basis",
+        "algebra-mult", "complex-cube-vertex", "functor-obj-map"])
+def test_missing_key_exits_1(tmp_path, doc, key):
+    p = tmp_path / "missing.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli(["validate", "--in", str(p), "--param", "target=x"])
+    _assert_input_error(res)
+    error = json.loads(res.stdout)["error"]
+    assert key in error and error != key
+
+
+def test_names_outside_a_cube_exit_1(tmp_path):
+    """A dg cube edge to a vertex the cube lacks, and a hom-iso object
+    outside the initial vertex, are malformed input."""
+    doc = json.loads((DOCS / "refinement_square.json").read_text())
+    doc["dg_cubes"]["square"]["edges"]["0|5"] = "edge_0_1"
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli(["check-qff", "--in", str(p)])
+    _assert_input_error(res)
+    assert json.loads(res.stdout)["error"] == \
+        "dg edge ([0],5) joins a missing vertex"
+    res = run_cli(["hom-iso", "--in", str(DOCS / "refinement_square.json"),
+                   "--param", "source=zz", "--param", "target=0"])
+    _assert_input_error(res)
+    assert "hom-iso source/target" in json.loads(res.stdout)["error"]
+
+
 def test_max_dim_guard(tmp_path):
     res = run_cli(["check-qff", "--in", str(DOCS / "refinement_square.json"),
                    "--max-dim", "1"])
@@ -659,12 +720,12 @@ def test_parallel_flag_matches_serial(tmp_path, monkeypatch, capsys, command,
 
     # the library reaches the same verdict and tables
     if command == "check-qff":
-        ok, lib = check_qff(cube)
+        ok, lib = decide_cube("qff", cube)
         lib = {k: {"source": _str_keys(v["source"]),
                    "glue": _str_keys(v["glue"]),
                    "isomorphism": v["isomorphism"]} for k, v in lib.items()}
     else:
-        ok, lib = check_acyclic_dgcube(cube)
+        ok, lib = decide_cube("acyclic", cube)
         lib = {k: _str_keys(v) for k, v in lib.items()}
     assert ok is verdict
     assert {f"{a}|{b}": v for (a, b), v in lib.items()} == rep["pairs"]
@@ -848,6 +909,25 @@ def test_validate_gac_reports_violations(tmp_path, capsys):
     assert cli.main(["validate", "--in", str(p), "--param", "target=gac:square",
                      "--max-dim", "1"]) == 1
     assert "exceeds --max-dim 1" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_validate_cube_checks_its_vertex_categories(tmp_path, capsys):
+    """A vertex table that breaks associativity but no edge functor's laws
+    fails the cube with the vertex category's first violation."""
+    from dgglue import cli
+
+    def edit(doc):
+        doc["categories"]["cat_0,1"]["comp"]["0|3|1"]["0,0"][0][0] = "1"
+    p = tmp_path / "corrupt_vertex.json"
+    p.write_text(json.dumps(_square_with(edit)))
+    assert cli.main(["validate", "--in", str(p), "--param",
+                     "target=cat_0,1"]) == 0
+    first = json.loads(capsys.readouterr().out)["violations"][0]
+    assert cli.main(["validate", "--in", str(p), "--param",
+                     "target=square"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] is False
+    assert rep["violations"] == [f"vertex [0, 1]: {first}"]
 
 
 @pytest.mark.parametrize("entry, code", [("1", 0), ("2", 1)],

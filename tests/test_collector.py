@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dgglue import cli
+from dgglue import cli, glue
 from dgglue import io as dio
 from dgglue import filtlab
 from dgglue.glue import GacCategory, gac
@@ -35,7 +35,7 @@ def collector_off():
 def _internal_error(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken invariant")
-    monkeypatch.setattr(cli, "pair_result", broken)
+    monkeypatch.setattr(glue, "pair_result", broken)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])

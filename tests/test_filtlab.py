@@ -13,8 +13,8 @@ from dgglue.filtlab import (AlgebraMap, FiltError, FilteredAlgebra,
                             tensor_unit_map, truncate, truncated_free,
                             truncated_polynomial_algebra, validate_algebra_map,
                             validate_filtration, validate_module, zero_module)
-from dgglue.glue import check_qff
-from dgglue.hypercube import CubeError, DgCube, check_acyclic_dgcube
+from dgglue.glue import decide_cube
+from dgglue.hypercube import CubeError, DgCube
 from dgglue.samples import random_filtered_algebra, random_module, rng
 
 
@@ -282,7 +282,7 @@ def test_refinement_square_identity(field):
     dual = truncated_polynomial_algebra(field, 2)
     ident = AlgebraMap(dual, dual, Matrix.identity(field, 2))
     sq = refinement_square(dual, dual, ident, x_ideal(field, dual), 2)
-    assert check_qff(sq)[0]
+    assert decide_cube("qff", sq)[0]
 
 
 def test_refinement_square_example(field):
@@ -294,8 +294,8 @@ def test_refinement_square_example(field):
     f = AlgebraMap(kx4, kx2, mmat)
     assert validate_algebra_map(f) == []
     sq = refinement_square(kx4, kx2, f, x_ideal(field, kx4), 2)
-    assert check_acyclic_dgcube(sq)[0]
-    assert check_qff(sq)[0]
+    assert decide_cube("acyclic", sq)[0]
+    assert decide_cube("qff", sq)[0]
 
 
 def test_refinement_square_mutation_fails(field):

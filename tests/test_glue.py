@@ -1,8 +1,8 @@
 from dgglue.fields import QQ
 from dgglue.dgcat import identity_functor, validate_category
-from dgglue.glue import (check_qff, gac, glue, hom_iso_check, pi_comparison_map,
-                         pi_morphism, pi_object)
-from dgglue.hypercube import DgCube, check_acyclic_dgcube, full_shape
+from dgglue.glue import (decide_cube, gac, glue, hom_iso_check,
+                         pi_comparison_map, pi_morphism, pi_object)
+from dgglue.hypercube import DgCube, full_shape
 from dgglue.samples import random_dg_cube, rng
 from dgglue.twisted import tw_hom, tw_compose
 
@@ -124,7 +124,7 @@ def test_pi_comparison_map_closed(field):
 
 def test_check_qff_negative_witness(field):
     cube = unit_inclusion_cube(field)
-    ok, report = check_qff(cube)
+    ok, report = decide_cube("qff", cube)
     assert not ok
     entry = report[("*", "*")]
     assert entry["source"] == {0: 1}
@@ -134,7 +134,7 @@ def test_check_qff_negative_witness(field):
 
 def test_check_qff_identity_square(field):
     cube = identity_square(field, dual_numbers_category(field))
-    ok, _ = check_qff(cube)
+    ok, _ = decide_cube("qff", cube)
     assert ok
 
 
@@ -143,7 +143,7 @@ def test_qff_agrees_with_acyclicity(field):
     for n in (1, 2, 3):
         for want in (True, False, None):
             cube = random_dg_cube(field, r, n, want=want)
-            assert check_qff(cube)[0] == check_acyclic_dgcube(cube)[0]
+            assert decide_cube("qff", cube)[0] == decide_cube("acyclic", cube)[0]
 
 
 def test_hom_iso_one_cube(field):
@@ -174,7 +174,7 @@ def test_graded_vertex_categories(field):
     assert validate_category(T) == []
     assert T.hom("c", "c").cohomology() == {-1: 1, 0: 2, 1: 1}
     sq = identity_square(field, T)
-    assert check_acyclic_dgcube(sq)[0] and check_qff(sq)[0]
+    assert decide_cube("acyclic", sq)[0] and decide_cube("qff", sq)[0]
     g = gac(sq)
     for a in T.objects:
         for bb in T.objects:
@@ -187,8 +187,8 @@ def test_graded_vertex_categories(field):
     assert validate_functor(unit_c) == []
     cube1 = DgCube(field, 1, {frozenset(): k, frozenset({0}): T},
                    {(frozenset(), 0): unit_c})
-    assert check_acyclic_dgcube(cube1)[0] is False
-    ok, rep = check_qff(cube1)
+    assert decide_cube("acyclic", cube1)[0] is False
+    ok, rep = decide_cube("qff", cube1)
     assert not ok and rep[("*", "*")]["glue"] == {-1: 1, 0: 2, 1: 1}
     assert hom_iso_check(cube1, "*", "*")
 

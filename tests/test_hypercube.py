@@ -3,11 +3,12 @@ import pytest
 from dgglue.fields import QQ
 from dgglue.linalg import Matrix
 from dgglue.complexes import GradedMap, cone, one_dim_complex
+from dgglue.glue import decide_cube
 from dgglue.hypercube import (ComplexCube, CubeError, as_morphism,
-                              check_acyclic_complexcube, check_acyclic_dgcube,
-                              cubes_equal, extend, extend_dg, full_shape,
-                              punctured_shape, reassemble, relabel_cube, stack,
-                              stack_dg, t_factorization_check, totalize)
+                              check_acyclic_complexcube, cubes_equal, extend,
+                              extend_dg, full_shape, punctured_shape,
+                              reassemble, relabel_cube, stack, stack_dg,
+                              t_factorization_check, totalize)
 from dgglue.samples import (random_complex, random_cube_morphism,
                             random_tensor_cube, rng)
 
@@ -223,7 +224,7 @@ def test_opposing_identity_faces_acyclic(field):
 
 def test_dg_cube_check_acyclic_negative_witness(field):
     cube = unit_inclusion_cube(field)
-    ok, report = check_acyclic_dgcube(cube)
+    ok, report = decide_cube("acyclic", cube)
     assert not ok
     assert report[("*", "*")] == {0: 1}
 
@@ -234,7 +235,7 @@ def test_dg_stack_extend(field):
     assert ext.n == 3
     st = stack_dg(sq, sq)
     assert st.n == 2
-    assert not check_acyclic_dgcube(ext)[0]
+    assert not decide_cube("acyclic", ext)[0]
 
 
 def test_punctured_shape_totale(field):

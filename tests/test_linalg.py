@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import reference_linalg as ref
 
 from dgglue.fields import MR_BOUND, QQ, PrimeField, FieldError, _is_prime
-from dgglue.linalg import LinAlgError, Matrix, kron, quotient_maps
+from dgglue.linalg import (LinAlgError, Matrix, differing_columns, kron,
+                           quotient_maps)
 from dgglue.samples import random_invertible, random_matrix, rng
 
 
@@ -145,6 +146,26 @@ def test_kron_shape_and_values():
     b = Matrix.from_rows(QQ, [[1, 0], [0, 3]])
     k = kron(a, b)
     assert k.shape == (2, 2) and k.get(1, 1) == 6
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["F7", "Q"])
+def test_differing_columns(field):
+    for shape in [(0, 0), (3, 0), (0, 5)]:
+        assert differing_columns(Matrix.zeros(field, *shape),
+                                 Matrix.zeros(field, *shape)) == set()
+    # an associativity identity's shape, n x n^3, differing only in the
+    # last n columns, once where an entry of a cancels to zero
+    n = 4
+    a = random_matrix(field, rng(1), n, n ** 3)
+    assert differing_columns(a, a.scaled(field.one)) == set()
+    b = a.scaled(field.one)
+    high = range(n ** 3 - n, n ** 3)
+    for r, c in zip(range(n), high):
+        b.set(r, c, field.add(a.get(r, c), field.one))
+    b.set(0, n ** 3 - 1, field.zero)
+    expect = {c for c in high if a.columns()[c] != b.columns()[c]}
+    assert expect and min(expect) >= n ** 3 - n
+    assert differing_columns(a, b) == differing_columns(b, a) == expect
 
 
 def test_quotient_maps():
