@@ -37,7 +37,7 @@ from .filtlab import (FiltError, auslander, generated_ideal, proj_dgcat,
                       validate_filtration, validate_module)
 from .glue import (GlueError, InternalError, cube_verdict, decide_cube, gac,
                    glue, hom_iso_check, pair_result)
-from .hypercube import (CubeError, _category_key, check_acyclic_complexcube,
+from .hypercube import (CubeError, category_key, check_acyclic_complexcube,
                         extend, extend_dg, stack, stack_dg, totalize)
 from .linalg import LinAlgError
 from .twisted import TwError
@@ -442,7 +442,7 @@ def _dg_cube_document(cube, params=None):
         name = f"cat_{dio.subset_out(I) or 'o'}"
         cat = cube.vertices[I]
         cat_names[id(cat)] = name
-        key = _category_key(cat)
+        key = category_key(cat)
         if key not in written:
             written[key] = dio.category_out(cat)
         categories[name] = written[key]

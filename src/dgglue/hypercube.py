@@ -404,7 +404,7 @@ class DgCube:
         if deep:
             first = {}      # a vertex of each distinct category
             for I in sorted(self.vertices, key=lambda s: (len(s), sorted(s))):
-                first.setdefault(_category_key(self.vertices[I]), I)
+                first.setdefault(category_key(self.vertices[I]), I)
             for I in first.values():
                 if bad := validate_category(self.vertices[I]):
                     return f"vertex {sorted(I)}: {bad[0]}"
@@ -447,7 +447,7 @@ class DgCube:
         return push
 
 
-def _category_key(cat: DgCategory) -> tuple:
+def category_key(cat: DgCategory) -> tuple:
     """Equal for categories sharing their tables, such as the copies `io`
     makes of a category repeated under several names."""
     return (id(cat._hom), id(cat._comp), id(cat.ids), cat.objects)

@@ -237,21 +237,23 @@ def test_non_object_section_exits_1(tmp_path, doc):
     _assert_input_error(run_cli(["cohomology", "--in", str(p)]))
 
 
-def test_internal_failure_exits_2(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("error", [RuntimeError, KeyError],
+                         ids=lambda e: e.__name__)
+def test_internal_failure_exits_2(tmp_path, monkeypatch, capsys, error):
     """An exception that no input check raises is internal, a KeyError
     included."""
     from dgglue import cli
+
+    def broken(*args, **kwargs):
+        raise error("broken invariant")
+
+    monkeypatch.setattr(cli, "validate_category", broken)
     p = tmp_path / "cat.json"
     p.write_text(json.dumps(_path_category({"x": ["1"], "y": ["1"]})))
-    for error in (RuntimeError, KeyError):
-        def broken(*args, **kwargs):
-            raise error("broken invariant")
-
-        monkeypatch.setattr(cli, "validate_category", broken)
-        assert cli.main(["validate", "--in", str(p)]) == 2
-        rep = json.loads(capsys.readouterr().out)
-        assert rep == {"command": "validate", "internal_error":
-                       f"{error.__name__}: {error('broken invariant')}"}
+    assert cli.main(["validate", "--in", str(p)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "validate", "internal_error":
+                   f"{error.__name__}: {error('broken invariant')}"}
 
 
 def _path_category(ids, xyy="1"):
