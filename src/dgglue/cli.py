@@ -297,7 +297,9 @@ def run(command, doc, parallel=1, max_dim=64):
         if any(x not in init.objects for pair in todo for x in pair):
             raise InputError("hom-iso source/target must be objects of the "
                              "initial vertex")
-        g = gac(cube)
+        # after the check: a source or target from the document may be any
+        # JSON value, and an unhashable one must exit 1, not 2
+        g = gac(cube, {x for pair in todo for x in pair})
         for a, b in sorted(todo):
             res = hom_iso_check(cube, a, b, g)
             pairs[f"{a}|{b}"] = res
@@ -508,12 +510,13 @@ def _worker_init(raw):
 
 
 def _worker_pair(task):
-    """One pair's `pair_result` in a pool worker, which builds its Gac for
-    its first qff pair."""
+    """One pair's `pair_result` in a pool worker, which builds its Gac, on
+    the pushes of the initial objects, for its first qff pair."""
     kind, a, b = task
+    cube = _worker["cube"]
     if kind == "qff" and "gac" not in _worker:
-        _worker["gac"] = gac(_worker["cube"])
-    return pair_result(kind, _worker["cube"], a, b, _worker.get("gac"))
+        _worker["gac"] = gac(cube, cube.initial().objects)
+    return pair_result(kind, cube, a, b, _worker.get("gac"))
 
 
 def _document_roundtrip(doc, cube_name):

@@ -91,6 +91,12 @@ class FilteredAlgebra:
             return Matrix.zeros(self.field, self.dim, 0)
         return self.filtration[-s]
 
+    def _level(self, s: int) -> int:
+        """The cache key of F^s: s clamped to [-length, 0], past which
+        `fil` no longer changes; below 0 it is at most -1, because a
+        length-0 algebra has F^0 = A but F^-1 = 0."""
+        return max(min(s, 0), -self.length or -1)
+
     def in_fil(self, s: int, vec) -> bool:
         b = self.fil(s)
         return b.solve(Matrix.column(self.field, vec)) is not None
@@ -106,8 +112,8 @@ class FilteredAlgebra:
 
     def _membership(self, s: int) -> tuple:
         """(B, L): the basis B of F^s and a left inverse L of B_P (zero rows
-        off the pivot columns P of B), cached per clamped level."""
-        level = max(min(s, 0), -self.length)
+        off the pivot columns P of B), cached per `_level`."""
+        level = self._level(s)
         cached = self._membership_cache.get(level)
         if cached is None:
             basis = self.fil(level)
@@ -125,7 +131,7 @@ class FilteredAlgebra:
 
     def quot(self, s: int, t: int) -> "FiltQuot":
         """The quotient F^s / F^t with a deterministic complement basis."""
-        key = (max(min(s, 0), -self.length), max(min(t, 0), -self.length))
+        key = (self._level(s), self._level(t))
         q = self._quot_cache.get(key)
         if q is not None:
             return q

@@ -41,6 +41,9 @@ class GacCategory:
     cube: DgCube
     category: DgCategory
     pair_cubes: dict = dc_field(default_factory=dict)
+    # pi(a) by object a, built once by `pi_object`; a TwistedComplex holds
+    # `category`, never this GacCategory, so the memo makes no cycle
+    pi: dict = dc_field(default_factory=dict)
 
     def layout(self, la: str, lb: str, m: int):
         """Summand blocks (I, base_degree, dim, offset) of hom(la, lb)^m."""
@@ -72,12 +75,26 @@ class GacCategory:
         return frozenset(range(i, j + 1)) - I
 
 
-def gac(cube: DgCube) -> GacCategory:
-    """Build the generalized arrow dg category of the punctured cube."""
+def gac(cube: DgCube, sources=None) -> GacCategory:
+    """Build the generalized arrow dg category of the punctured cube.
+
+    Its labels are `i:x` for the objects x of each component A_{i}.  Given
+    `sources`, objects of the initial vertex, keep only the labels of their
+    pushes `i:V_{i} a`, in the same order: the full subcategory on them.
+    Every hom complex, composition table and `pair_result` among those
+    labels equals the whole Gac's, with no axiom assumed, since a table
+    reads only the homs among its three labels and pi(a) has only push
+    terms.  The verdicts build it so; `gac-hom`, `glue` and `validate`,
+    which name any label, build the whole Gac.
+    """
     n = cube.n
     field = cube.field
-    comp_objs = {i: cube.vertices[frozenset({i})].objects for i in range(n)}
-    labels = [( i, x) for i in range(n) for x in comp_objs[i]]
+    labels = [(i, x) for i in range(n)
+              for x in cube.vertices[frozenset({i})].objects]
+    if sources is not None:
+        pushes = {(i, cube.push_object(frozenset(), a, {i}))
+                  for a in sources for i in range(n)}
+        labels = [label for label in labels if label in pushes]
     objects = [_label(i, x) for i, x in labels]
 
     pair_cubes = {}
@@ -173,7 +190,12 @@ def glue(g: GacCategory, objs: dict) -> DgCategory:
 
 
 def pi_object(g: GacCategory, a) -> TwistedComplex:
-    """pi(a): terms V_{n-1-p} a [p], alpha entries (-1)^q identities."""
+    """pi(a): terms V_{n-1-p} a [p], alpha entries (-1)^q identities.
+
+    Built once per object of the initial vertex and kept in `g.pi`."""
+    pia = g.pi.get(a)
+    if pia is not None:
+        return pia
     cube = g.cube
     n = cube.n
     field = cube.field
@@ -193,7 +215,8 @@ def pi_object(g: GacCategory, a) -> TwistedComplex:
             vec = tuple(field.mul(sgn, v) for v in id_vec)
             elt = g.embed(terms[p][0], terms[q][0], I, 0, vec)
             delta[(q, p)] = elt
-    return TwistedComplex(g.category, terms, delta)
+    pia = g.pi[a] = TwistedComplex(g.category, terms, delta)
+    return pia
 
 
 def pi_morphism(g: GacCategory, f: HomElt, pia: TwistedComplex,
@@ -246,14 +269,15 @@ def pair_result(kind: str, cube: DgCube, a, b, g: GacCategory = None):
     is empty.  kind "qff": {"source", "glue", "isomorphism"}, the cohomology
     tables of A_empty(a, b) and Hom_Glue(pi a, pi b) and whether pi's
     comparison map between them is a quasi-isomorphism; pi is qff iff every
-    pair's map is.  `g` is the Gac of `cube`, built here when not given;
-    callers deciding several qff pairs pass one.  Raises InternalError when
-    the comparison map is not closed.
+    pair's map is.  `g` is a Gac of `cube` on the pushes of a and b at
+    least, built on just those here when not given; callers deciding
+    several qff pairs pass one.  Raises InternalError when the comparison
+    map is not closed.
     """
     if kind == "acyclic":
         return bimodule_cohomology(cube, a, b)
     if g is None:
-        g = gac(cube)
+        g = gac(cube, (a, b))
     cm = pi_comparison_map(g, a, b)
     if not cm.is_closed():
         raise InternalError("pi comparison map is not closed")
@@ -264,10 +288,11 @@ def pair_result(kind: str, cube: DgCube, a, b, g: GacCategory = None):
 
 def decide_cube(kind: str, cube: DgCube):
     """(`cube_verdict`, {(a, b): `pair_result`}) over the sorted object
-    pairs of the initial vertex of `cube`; a qff cube builds its Gac once."""
+    pairs of the initial vertex of `cube`.  A qff cube builds its Gac once,
+    on the pushes of the initial objects, and each pi(a) once on it."""
     init = cube.initial()
     pairs = sorted((a, b) for a in init.objects for b in init.objects)
-    g = gac(cube) if kind == "qff" and pairs else None
+    g = gac(cube, init.objects) if kind == "qff" and pairs else None
     results = {(a, b): pair_result(kind, cube, a, b, g) for a, b in pairs}
     return cube_verdict(kind, results.values()), results
 
@@ -282,9 +307,10 @@ def cube_verdict(kind: str, results) -> bool:
 
 def hom_iso_check(cube: DgCube, a, b, g: GacCategory = None) -> bool:
     """Build the explicit comparison t(punctured)(a,b)[1] -> Hom(pi a, pi b)[n]
-    and verify it is a chain isomorphism fitting over the boundary map."""
+    and verify it is a chain isomorphism fitting over the boundary map.
+    `g` is as in `pair_result`."""
     if g is None:
-        g = gac(cube)
+        g = gac(cube, (a, b))
     n = cube.n
     field = cube.field
     punct = bimodule_cube(cube, a, b, shape=punctured_shape(cube.top))

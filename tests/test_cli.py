@@ -749,9 +749,9 @@ def test_hom_iso_builds_one_gac(monkeypatch, capsys):
     from dgglue import cli, glue
     built = []
 
-    def counting_gac(cube):
+    def counting_gac(cube, sources=None):
         built.append(cube)
-        return gac(cube)
+        return gac(cube, sources)
     monkeypatch.setattr(cli, "gac", counting_gac)
     monkeypatch.setattr(glue, "gac", counting_gac)
     assert cli.main(["hom-iso", "--in",

@@ -40,6 +40,30 @@ def test_dual_numbers_filtration(field):
     assert validate_filtration(dual) == []
 
 
+@pytest.mark.parametrize("length", [0, 1, 2])
+def test_membership_levels_agree_with_fil(field, length):
+    # a length-0 algebra has F^0 = A and F^s = 0 for every s < 0
+    dual = truncated_polynomial_algebra(field, 2)
+    alg = FilteredAlgebra(field, 2, dual.mul_basis, dual.unit, length,
+                          dual.filtration[:length] +
+                          [Matrix.zeros(field, 2, 0)] if length else
+                          [Matrix.identity(field, 2)])
+    vecs = [(field.one, field.zero), (field.zero, field.one),
+            (field.one, field.one)]
+    for s in range(-length - 2, 3):
+        for vec in vecs:
+            x = Matrix.column(field, vec)
+            if alg.in_fil(s, vec):
+                assert alg.fil(s) @ alg.fil_coords(s, x) == x
+            else:
+                with pytest.raises(FiltError):
+                    alg.fil_coords(s, x)
+        assert alg.quot(s, s - 1).dim == alg.fil(s).ncols - \
+            alg.fil(s - 1).ncols
+    if length == 0:
+        assert alg.quot(0, -1).dim == alg.dim
+
+
 def test_non_ideal_subspace_fails():
     field = QQ
     kx3 = truncated_polynomial_algebra(field, 3)
